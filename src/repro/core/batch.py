@@ -97,6 +97,10 @@ class BatchMatch:
                 f"{len(self.starts)} occurrence(s))")
 
 
+def _null_context():
+    return contextlib.nullcontext()
+
+
 def traverse_first_end(index, codes, limit, cancel=None):
     """End node of the first occurrence of ``codes`` within the prefix
     of length ``limit``, or ``None``.
@@ -129,28 +133,37 @@ def traverse_first_end(index, codes, limit, cancel=None):
 
 
 def contains_at(index, pattern, limit, cancel=None):
-    """``contains`` evaluated against the length-``limit`` prefix."""
+    """``contains`` evaluated against the length-``limit`` prefix.
+
+    Like :func:`batch_find_all`, runs under the index's ``read_locked``
+    hook when it has one (the disk layer), so a concurrent ``extend``
+    cannot mutate pages under the traversal.
+    """
     if pattern == "":
         return True
     codes = index.alphabet.try_encode(pattern)
     if codes is None:
         return False
-    return traverse_first_end(index, codes, limit, cancel) is not None
+    with getattr(index, "read_locked", _null_context)():
+        return traverse_first_end(index, codes, limit, cancel) is not None
 
 
 def find_all_at(index, pattern, limit, cancel=None):
-    """``find_all`` evaluated against the length-``limit`` prefix."""
+    """``find_all`` evaluated against the length-``limit`` prefix
+    (under ``read_locked`` when the index has it, like
+    :func:`contains_at`)."""
     if pattern == "":
         raise SearchError("find_all of the empty pattern is ill-defined")
     codes = index.alphabet.try_encode(pattern)
     if codes is None:
         return []
-    first_end = traverse_first_end(index, codes, limit, cancel)
-    if first_end is None:
-        return []
-    scanner = OccurrenceScanner(index)
-    pid = scanner.add(first_end, len(codes))
-    return scanner.resolve_starts(limit=limit, cancel=cancel)[pid]
+    with getattr(index, "read_locked", _null_context)():
+        first_end = traverse_first_end(index, codes, limit, cancel)
+        if first_end is None:
+            return []
+        scanner = OccurrenceScanner(index)
+        pid = scanner.add(first_end, len(codes))
+        return scanner.resolve_starts(limit=limit, cancel=cancel)[pid]
 
 
 def check_executor_open(executor):
@@ -168,10 +181,6 @@ def check_executor_open(executor):
         raise ServiceClosedError(
             "executor is shut down; batch_find_all needs a live "
             "executor (or pass none to use a temporary pool)")
-
-
-def _null_context():
-    return contextlib.nullcontext()
 
 
 def batch_find_all(index, patterns, threads=1, limit=None,

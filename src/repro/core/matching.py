@@ -209,6 +209,21 @@ def maximal_matches(index, query, min_length=1, with_positions=True):
     if min_length < 1:
         raise SearchError("min_length must be >= 1")
     result = matching_statistics(index, query)
+    return (resolve_maximal_matches(index, result, min_length,
+                                    with_positions), result)
+
+
+def resolve_maximal_matches(index, result, min_length,
+                            with_positions=True):
+    """The :class:`MaximalMatch` list of a finished matching-statistics
+    ``result`` — shared by :func:`maximal_matches` and the disk layer's
+    ``maximal_matches``.
+
+    Each right-maximal run of length ``>= min_length`` becomes one
+    match; with ``with_positions`` all their data occurrences are
+    resolved by one :class:`~repro.core.search.OccurrenceScanner` pass
+    over ``index``.
+    """
     lengths = result.lengths
     end_nodes = result.end_nodes
     m = len(lengths)
@@ -221,9 +236,8 @@ def maximal_matches(index, query, min_length=1, with_positions=True):
         if not extended:
             events.append((j, length, end_nodes[j]))
     if not with_positions:
-        matches = [MaximalMatch(j - length + 1, length, ())
-                   for j, length, _ in events]
-        return matches, result
+        return [MaximalMatch(j - length + 1, length, ())
+                for j, length, _ in events]
     scanner = OccurrenceScanner(index)
     pids = [scanner.add(end_node, length)
             for _, length, end_node in events]
@@ -235,7 +249,7 @@ def maximal_matches(index, query, min_length=1, with_positions=True):
             length=length,
             data_starts=tuple(starts[pid]),
         ))
-    return matches, result
+    return matches
 
 
 def brute_force_matching_statistics(data, query):

@@ -41,7 +41,7 @@ import time
 import zlib
 
 from repro.alphabet import Alphabet, dna_alphabet
-from repro.core.matching import MatchingResult, MaximalMatch
+from repro.core.matching import MatchingResult, resolve_maximal_matches
 from repro.exceptions import ConstructionError, SearchError, StorageError
 from repro.obs import get_registry, record_io_snapshot
 from repro.obs.trace import get_tracer
@@ -182,6 +182,38 @@ class _Region:
                 return self.record.unpack_from(frame, offset)
         frame = pool.get(page_id)
         return self.record.unpack_from(frame, offset)
+
+    def iter_records(self, start, stop):
+        """Yield the unpacked records ``start <= index < stop``, one
+        page at a time.
+
+        Each page is looked up once through the pool (so faults,
+        checksum checks, retries and trace attribution stay per page);
+        the covered slice is copied out — under a pin when the pool is
+        thread-safe — and decoded with ``Struct.iter_unpack`` after the
+        frame is released. Records never span pages, so the consumer
+        may touch other pages between records without invalidating the
+        decode.
+        """
+        per_page = self.per_page
+        size = self.record.size
+        iter_unpack = self.record.iter_unpack
+        pool = self.pool
+        pages = self.pages
+        index = start
+        while index < stop:
+            page_no, slot = divmod(index, per_page)
+            end = min(stop, (page_no + 1) * per_page)
+            lo = slot * size
+            hi = lo + (end - index) * size
+            page_id = pages[page_no]
+            if pool.thread_safe:
+                with pool.pinned(page_id) as frame:
+                    chunk = frame[lo:hi]
+            else:
+                chunk = pool.get(page_id)[lo:hi]
+            yield from iter_unpack(chunk)
+            index = end
 
     def write(self, index, *values):
         """Pack ``values`` into record ``index`` (allocating pages).
@@ -1055,7 +1087,7 @@ class DiskSpineIndex:
         character label through the buffer pool — intended for tests,
         verification and small indexes, not the serving hot path)."""
         with self.pool.rwlock.read_locked():
-            codes = [self._cl.read(i)[0] for i in range(1, self._n + 1)]
+            codes = [c for (c,) in self._cl.iter_records(1, self._n + 1)]
         return self.alphabet.decode(codes)
 
     def vertebra_label(self, i):
@@ -1126,12 +1158,25 @@ class DiskSpineIndex:
         """Yield ``(j, dest, LEL)`` for nodes ``lo < j <= hi`` with
         ``LEL >= min_lel`` — one strictly sequential Link-Table sweep
         through the buffer pool (the access pattern the paper's
-        Figure 8 buffering argument is built on)."""
+        Figure 8 buffering argument is built on).
+
+        The sweep decodes a page of LT entries per pool lookup and
+        tests the LEL first: only an entry that qualifies and whose
+        destination was displaced into an RT row (negative ``ref``)
+        costs the extra RT row read.
+        """
         n = self._n if hi is None else min(hi, self._n)
-        for j in range(lo + 1, n + 1):
-            dest, lel, _ = self._lt_read(j)
-            if lel >= min_lel:
-                yield j, dest, lel
+        rt = self._rt
+        j = lo
+        for ref, lel in self._lt.iter_records(lo + 1, n + 1):
+            j += 1
+            if lel < min_lel:
+                continue
+            if ref < 0:
+                ptr = -ref - 1
+                ref = rt[ptr >> _PTR_CLASS_SHIFT].read(
+                    ptr & _PTR_ROW_MASK)[0]
+            yield j, ref, lel
 
     def step(self, node, pathlength, code, _span=None):
         """Same contract as :meth:`SpineIndex.step`, via the pool.
@@ -1264,9 +1309,8 @@ class DiskSpineIndex:
             m = len(codes)
             targets = {node}
             starts = [node - m]
-            for j in range(node + 1, self._n + 1):
-                dest, lel, _ = self._lt_read(j)
-                if lel >= m and dest in targets:
+            for j, dest, _ in self.iter_link_entries(node, min_lel=m):
+                if dest in targets:
                     targets.add(j)
                     starts.append(j - m)
             return starts
@@ -1390,48 +1434,8 @@ class DiskSpineIndex:
         if min_length < 1:
             raise SearchError("min_length must be >= 1")
         with self.pool.rwlock.read_locked():
-            return self._maximal_matches(query, min_length)
-
-    def _maximal_matches(self, query, min_length):
-        result = self._matching_statistics(query)
-        lengths = result.lengths
-        end_nodes = result.end_nodes
-        m = len(lengths)
-        events = []
-        for j in range(m):
-            length = lengths[j]
-            if length < min_length:
-                continue
-            if j + 1 < m and lengths[j + 1] == length + 1:
-                continue
-            events.append((j, length, end_nodes[j]))
-        # Shared downstream scan.
-        node_targets = {}
-        hits = {idx: [end] for idx, (_, _, end) in enumerate(events)}
-        min_start = self._n + 1
-        for idx, (_, length, end) in enumerate(events):
-            node_targets.setdefault(end, []).append((idx, length))
-            min_start = min(min_start, end)
-        for j in range(min_start + 1, self._n + 1):
-            dest, lel, _ = self._lt_read(j)
-            entries = node_targets.get(dest)
-            if not entries:
-                continue
-            matched = [(idx, length) for idx, length in entries
-                       if lel >= length]
-            if not matched:
-                continue
-            node_targets.setdefault(j, []).extend(matched)
-            for idx, _ in matched:
-                hits[idx].append(j)
-        matches = []
-        for idx, (j, length, _) in enumerate(events):
-            matches.append(MaximalMatch(
-                query_start=j - length + 1,
-                length=length,
-                data_starts=tuple(end - length for end in hits[idx]),
-            ))
-        return matches, result
+            result = self._matching_statistics(query)
+            return resolve_maximal_matches(self, result, min_length), result
 
     def io_snapshot(self):
         """Physical + buffer counters accumulated so far.

@@ -14,8 +14,9 @@ import pytest
 from repro import obs
 from repro.alphabet import Alphabet, dna_alphabet, protein_alphabet
 from repro.core import SpineIndex, batch_find_all, contains_at, find_all_at
-from repro.core.batch import BatchMatch
+from repro.core.batch import BatchMatch, traverse_first_end
 from repro.core.packed import PackedSpineIndex
+from repro.core.search import OccurrenceScanner
 from repro.disk.spine_disk import DiskSpineIndex
 from repro.exceptions import SearchError
 
@@ -195,21 +196,71 @@ class TestSharedScanAcceptance:
         text, disk = self._build(rng)
         try:
             patterns = [text[i:i + 5] for i in range(0, 80, 5)]
+            ends = [traverse_first_end(disk, disk.alphabet.encode(p),
+                                       len(disk)) for p in patterns]
             metrics = disk.pagefile.metrics
 
+            # Sweep phase only: the 16 traversals are identical on both
+            # sides and would otherwise dominate the page traffic.
             metrics.reset()
-            batch_find_all(disk, patterns)
+            scanner = OccurrenceScanner(disk)
+            pids = [scanner.add(end, len(p))
+                    for p, end in zip(patterns, ends)]
+            shared = scanner.resolve_starts()
             batch_touches = metrics.reads + metrics.buffer_hits
 
             metrics.reset()
-            for pattern in patterns:
-                disk.find_all(pattern)
+            looped = []
+            for pattern, end in zip(patterns, ends):
+                single = OccurrenceScanner(disk)
+                pid = single.add(end, len(pattern))
+                looped.append(single.resolve_starts()[pid])
             loop_touches = metrics.reads + metrics.buffer_hits
 
-            # 16 looped scans re-walk the Link Table 16 times; the
-            # batch walks it once. Page traffic must reflect that
-            # asymptotically, not marginally.
-            assert batch_touches * 3 < loop_touches
+            assert [shared[pid] for pid in pids] == looped
+            # 16 per-pattern sweeps re-walk the Link Table 16 times;
+            # the shared sweep walks it once. Page traffic must reflect
+            # that asymptotically, not marginally.
+            assert batch_touches * 8 <= loop_touches
+        finally:
+            disk.close()
+
+    def test_sweep_lookups_bounded_by_pages_and_rib_entries(self, rng):
+        """A disk ``find_all`` sweep costs one pool lookup per Link-Table
+        page it spans plus one RT row read per rib-bearing entry whose
+        LEL qualifies — never one lookup per node."""
+        text, disk = self._build(rng)
+        try:
+            n = len(disk)
+            per_page = disk._lt.per_page
+            metrics = disk.pagefile.metrics
+            for start in range(0, 80, 5):
+                pattern = text[start:start + 5]
+                m = len(pattern)
+                codes = disk.alphabet.encode(pattern)
+                metrics.reset()
+                first_end = traverse_first_end(disk, codes, n)
+                walk = metrics.buffer_hits + metrics.buffer_misses
+                metrics.reset()
+                assert disk.find_all(pattern) == \
+                    brute_occurrences(text, pattern)
+                sweep = metrics.buffer_hits + metrics.buffer_misses - walk
+                lt_pages = n // per_page - (first_end + 1) // per_page + 1
+                rib_entries = sum(
+                    1 for j in range(first_end + 1, n + 1)
+                    if disk.link(j)[1] >= m and disk.ribs_at(j))
+                assert sweep <= lt_pages + rib_entries
+
+            # One shared sweep for all sixteen patterns reads about
+            # twenty physical pages: the LT pages plus a few RT rows.
+            patterns = [text[i:i + 5] for i in range(0, 80, 5)]
+            scanner = OccurrenceScanner(disk)
+            for pattern in patterns:
+                scanner.add(traverse_first_end(
+                    disk, disk.alphabet.encode(pattern), n), len(pattern))
+            metrics.reset()
+            scanner.resolve()
+            assert metrics.reads <= 30
         finally:
             disk.close()
 
