@@ -9,7 +9,7 @@ matters for steady-state throughput::
 
 Three measurements, each best-of-``repeats``:
 
-* ``query``: ``find_all_at`` with ``cancel=None`` (the untouched
+* ``query``: ``search.find_all`` with ``cancel=None`` (the untouched
   pre-resilience hot path) vs. a live token with a far-future deadline
   (the path every ``QueryService`` query takes). The ``overhead_pct``
   figure is the headline: the target is **< 3%**. Measurements are
@@ -37,7 +37,8 @@ import sys
 import time
 
 from repro import obs
-from repro.core.batch import batch_find_all, find_all_at
+from repro.core import search
+from repro.core.batch import batch_find_all
 from repro.core.index import SpineIndex
 from repro.obs.report import build_report
 from repro.resilience import (CancellationToken, CircuitBreaker,
@@ -100,11 +101,11 @@ def _query_overhead(index, workload, repeats):
 
     def baseline():
         for pattern in workload:
-            find_all_at(index, pattern, limit, None)
+            search.find_all(index, pattern, limit, None)
 
     def with_token():
         for pattern in workload:
-            find_all_at(index, pattern, limit, _far_future_token())
+            search.find_all(index, pattern, limit, _far_future_token())
 
     return _compare(baseline, with_token, repeats)
 

@@ -31,8 +31,8 @@ import time
 from dataclasses import dataclass, field, asdict
 
 from repro.check.generators import Scenario, generate_scenario
-from repro.check.harness import (OPS, build_layers, expected_for_layer)
-from repro.check.oracles import Oracle
+from repro.check.harness import build_layers, expected_for_layer
+from repro.check.oracles import MATCHING_OPS, OPS, Oracle
 from repro.exceptions import ReproError
 from repro.obs import get_registry
 from repro.obs.trace import get_tracer
@@ -120,11 +120,21 @@ def _run_case(scenario, workdir, metrics):
                 kind="oracle", layer="suffixarray", op="find_all",
                 pattern=pattern, expected=naive, got=sa))
 
+    # The streaming verbs also get one long query — every encodable
+    # pattern back to back, then all of that reversed — so matches
+    # break and fall back through links and extrib chains mid-stream.
+    stream = "".join(p for p in scenario.patterns
+                     if oracle.fold(p) is not None)
+    stream += stream[::-1]
+    queries_by_op = [(op, scenario.patterns) for op in OPS]
+    queries_by_op += [(op, [stream]) for op in MATCHING_OPS]
     layers = build_layers(scenario, workdir)
     try:
         for layer in layers:
-            for pattern in scenario.patterns:
-                for op in OPS:
+            for op, patterns in queries_by_op:
+                if op in MATCHING_OPS and layer.name == "shard":
+                    continue  # the sharded layer has no streaming verbs
+                for pattern in patterns:
                     expected = expected_for_layer(layer, oracle, op,
                                                   pattern)
                     got = layer.query(op, pattern)

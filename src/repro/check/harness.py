@@ -76,11 +76,22 @@ class LayerUnderTest:
         return outcome
 
     def query(self, op, pattern):
-        """Normalized outcome of one point query."""
+        """Normalized outcome of one query (``pattern`` is the whole
+        query string of a streaming verb)."""
+        from repro.core import matching
+
         try:
-            value = getattr(self.index, op)(pattern)
-            if op == "find_all":
-                value = list(value)
+            if op == "matching_statistics":
+                value = matching.matching_statistics(
+                    self.index, pattern).lengths
+            elif op == "maximal_matches":
+                value = [[m.query_start, m.length, list(m.data_starts)]
+                         for m in matching.maximal_matches(
+                             self.index, pattern)[0]]
+            else:
+                value = getattr(self.index, op)(pattern)
+                if op == "find_all":
+                    value = list(value)
         except ReproError as exc:
             return ("error", type(exc).__name__)
         return self._inject(op, pattern, ("ok", value))

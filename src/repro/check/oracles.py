@@ -1,6 +1,8 @@
 """Independent answer oracles for the differential fuzzer.
 
-Two oracles that share none of SPINE's code paths:
+Two oracles that share none of SPINE's code paths (plus
+:func:`~repro.core.matching.brute_force_matching_statistics`, direct
+substring testing, for the streaming verbs):
 
 * a naive overlapping ``str.find`` scan (the ground truth), and
 * :class:`repro.suffixarray.SuffixArrayIndex` (binary search over the
@@ -18,8 +20,11 @@ alphabet's coder before comparing.
 from __future__ import annotations
 
 from repro.alphabet import Alphabet
+from repro.core.matching import brute_force_matching_statistics
 
-OPS = ("contains", "find_first", "find_all", "count")
+#: Streaming verbs: the pattern is the whole query string.
+MATCHING_OPS = ("matching_statistics", "maximal_matches")
+OPS = ("contains", "find_first", "find_all", "count") + MATCHING_OPS
 
 
 class Oracle:
@@ -54,6 +59,8 @@ class Oracle:
 
     def expected(self, op, pattern):
         """Normalized expected outcome of ``op`` on ``pattern``."""
+        if op in MATCHING_OPS:
+            return self.expected_matching(op, pattern)
         if pattern == "":
             if op == "contains":
                 return ("ok", True)
@@ -72,6 +79,26 @@ class Oracle:
         if op == "count":
             return ("ok", len(starts))
         return ("ok", starts)
+
+    def expected_matching(self, op, query):
+        """Expected matching statistics (the ``lengths`` list) or
+        maximal matches (``[query_start, length, data_starts]`` per
+        right-maximal run, ``min_length`` 1) of ``query``; a foreign
+        character makes the whole stream fail with ``AlphabetError``."""
+        folded = self.fold(query)
+        if folded is None:
+            return ("error", "AlphabetError")
+        lengths = brute_force_matching_statistics(self.text, folded)
+        if op == "matching_statistics":
+            return ("ok", lengths)
+        matches = []
+        for j, length in enumerate(lengths):
+            if length and (j + 1 == len(lengths)
+                           or lengths[j + 1] != length + 1):
+                start = j + 1 - length
+                matches.append([start, length, self.naive_starts(
+                    folded[start:j + 1])])
+        return ("ok", matches)
 
     def expected_batch(self, pattern):
         """``(status, starts)`` a batch engine must report."""

@@ -4,8 +4,10 @@ Public surface:
 
 * :class:`repro.core.index.SpineIndex` — online construction plus the
   basic query operations (containment, first/all occurrences).
-* :mod:`repro.core.search` — standalone search helpers, batched
-  occurrence scanning, valid-path tracing.
+* :mod:`repro.core.search` — the query engine every layer answers
+  through (containment, first/all occurrences, counts, each with an
+  optional snapshot bound and cancellation), batched occurrence
+  scanning, valid-path tracing.
 * :mod:`repro.core.matching` — matching statistics and the paper's
   "all maximal matching substrings" operation (Section 4), with
   instrumented check counting for Table 6.
@@ -20,14 +22,11 @@ Public surface:
 
 from repro.core.index import SpineIndex
 from repro.core.generalized import GeneralizedSpineIndex
-from repro.core.batch import (
-    BatchMatch,
-    batch_find_all,
-    contains_at,
-    find_all_at,
-)
+from repro.core.batch import BatchMatch, batch_find_all
 from repro.core.search import (
     OccurrenceScanner,
+    contains,
+    count,
     find_all,
     find_first,
     is_valid_path,
@@ -56,9 +55,9 @@ __all__ = [
     "GeneralizedSpineIndex",
     "BatchMatch",
     "batch_find_all",
-    "contains_at",
-    "find_all_at",
     "OccurrenceScanner",
+    "contains",
+    "count",
     "find_all",
     "find_first",
     "is_valid_path",

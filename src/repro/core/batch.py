@@ -17,15 +17,14 @@ looped ``find_all`` calls make N passes over the Link Table, while a
 batch makes exactly one sequential LT sweep — the access pattern the
 paper's Figure 8 buffering argument favors.
 
-The engine is layer-agnostic: it needs ``step``, ``alphabet``,
-``iter_link_entries`` and ``len`` — provided by
+The engine runs on every layer of the layer protocol (``docs/api.md``):
 :class:`~repro.core.index.SpineIndex`,
 :class:`~repro.core.packed.PackedSpineIndex` and
-:class:`~repro.disk.spine_disk.DiskSpineIndex` alike. Indexes that
-expose a ``read_locked`` hook (the disk layer) have both phases run
-under the shared side of their read-write lock; indexes that expose
-``enable_concurrent_reads`` are switched to the latched buffer-pool
-mode before a multi-threaded traversal phase.
+:class:`~repro.disk.spine_disk.DiskSpineIndex` (the sharded index fans
+a batch out to its shards). Both phases run under the layer's
+``read_locked()``; a disk index is switched to its latched buffer-pool
+mode (``enable_concurrent_reads``) before a multi-threaded traversal
+phase.
 
 Snapshot semantics (Section 2.7): every batch captures ``len(index)``
 on entry and bounds the traversals and the scan to that prefix. Because
@@ -38,11 +37,10 @@ concurrently.
 
 from __future__ import annotations
 
-import contextlib
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.core.search import OccurrenceScanner
+from repro.core import search
 from repro.exceptions import (
     DeadlineExceededError,
     SearchError,
@@ -55,9 +53,6 @@ __all__ = [
     "BatchMatch",
     "batch_find_all",
     "check_executor_open",
-    "contains_at",
-    "find_all_at",
-    "traverse_first_end",
 ]
 
 
@@ -95,75 +90,6 @@ class BatchMatch:
     def __repr__(self):
         return (f"BatchMatch({self.pattern!r}, {self.status}, "
                 f"{len(self.starts)} occurrence(s))")
-
-
-def _null_context():
-    return contextlib.nullcontext()
-
-
-def traverse_first_end(index, codes, limit, cancel=None):
-    """End node of the first occurrence of ``codes`` within the prefix
-    of length ``limit``, or ``None``.
-
-    A step landing beyond ``limit`` is a dead end: by Section 2.7 that
-    edge does not exist in the prefix sub-index (edges planted after
-    character ``limit`` always point past it).
-
-    ``cancel`` is an optional
-    :class:`~repro.resilience.CancellationToken`; when given, the
-    traversal checkpoints it once per step (an amortized integer
-    decrement — see :mod:`repro.resilience.deadline`). The common
-    ``cancel is None`` path is the historical loop, untouched.
-    """
-    node = 0
-    step = index.step
-    if cancel is not None:
-        checkpoint = cancel.checkpoint
-        for pathlength, code in enumerate(codes):
-            checkpoint()
-            node = step(node, pathlength, code)
-            if node is None or node > limit:
-                return None
-        return node
-    for pathlength, code in enumerate(codes):
-        node = step(node, pathlength, code)
-        if node is None or node > limit:
-            return None
-    return node
-
-
-def contains_at(index, pattern, limit, cancel=None):
-    """``contains`` evaluated against the length-``limit`` prefix.
-
-    Like :func:`batch_find_all`, runs under the index's ``read_locked``
-    hook when it has one (the disk layer), so a concurrent ``extend``
-    cannot mutate pages under the traversal.
-    """
-    if pattern == "":
-        return True
-    codes = index.alphabet.try_encode(pattern)
-    if codes is None:
-        return False
-    with getattr(index, "read_locked", _null_context)():
-        return traverse_first_end(index, codes, limit, cancel) is not None
-
-
-def find_all_at(index, pattern, limit, cancel=None):
-    """``find_all`` evaluated against the length-``limit`` prefix
-    (under ``read_locked`` when the index has it, like
-    :func:`contains_at`)."""
-    if pattern == "":
-        raise SearchError("find_all of the empty pattern is ill-defined")
-    codes = index.alphabet.try_encode(pattern)
-    if codes is None:
-        return []
-    with getattr(index, "read_locked", _null_context)():
-        first_end = traverse_first_end(index, codes, limit, cancel)
-        if first_end is None:
-            return []
-        scanner = OccurrenceScanner(index)
-        pid = scanner.add(first_end, len(codes))
-        return scanner.resolve_starts(limit=limit, cancel=cancel)[pid]
 
 
 def check_executor_open(executor):
@@ -274,18 +200,14 @@ def batch_find_all(index, patterns, threads=1, limit=None,
         enable = getattr(index, "enable_concurrent_reads", None)
         if enable is not None:
             enable()
-    if cancel is None:
-        def _traverse(codes):
-            return traverse_first_end(index, codes, n)
-    else:
+    def _traverse(codes):
         # One child token per traversal: the amortization counter is
         # not thread-safe, so workers must not share one.
-        def _traverse(codes):
-            return traverse_first_end(index, codes, n, cancel.child())
+        return search.find_first_end(
+            index, codes, n, None if cancel is None else cancel.child())
 
-    lock = getattr(index, "read_locked", _null_context)
     try:
-        with lock():
+        with index.read_locked():
             # Phase 1: first-occurrence traversals.
             if multithreaded:
                 if executor is not None:
@@ -297,7 +219,7 @@ def batch_find_all(index, patterns, threads=1, limit=None,
                 ends = [_traverse(codes) for codes in uid_codes]
 
             # Phase 2: the single shared downstream scan (Section 4).
-            scanner = OccurrenceScanner(index)
+            scanner = search.OccurrenceScanner(index)
             pids = {}
             for uid, (codes, end) in enumerate(zip(uid_codes, ends)):
                 if end is not None:

@@ -8,13 +8,16 @@ interactive-search primitive (think incremental find-as-you-type). A
 right-maximal match events as they complete, equivalent to
 :func:`repro.core.matching.maximal_matches` without needing the whole
 query in memory.
+
+Both run on every traversal layer (in-memory, packed, disk) through the
+query engine in :mod:`repro.core.search` and :mod:`repro.core.matching`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.matching import MatchingResult, _extend_longest
+from repro.core import matching, search
 from repro.exceptions import SearchError
 from repro.obs.trace import get_tracer
 
@@ -52,11 +55,9 @@ class SearchCursor:
         if not self._alive:
             return False
         code = self.index.alphabet.encode_char(ch)
-        span = self._tracer.active
-        if span is not None:
-            nxt = self.index.step(self._node, self._length, code, span)
-        else:
-            nxt = self.index.step(self._node, self._length, code)
+        with self.index.read_locked():
+            nxt = self.index.step(self._node, self._length, code,
+                                  self._tracer.active)
         if nxt is None:
             self._alive = False
             return False
@@ -83,10 +84,10 @@ class SearchCursor:
         """All occurrences of the live prefix (empty when length 0)."""
         if self._length == 0:
             return []
-        from repro.core.search import _scan_occurrences
-
-        ends = _scan_occurrences(self.index, self._node, self._length)
-        return [end - self._length for end in ends]
+        scanner = search.OccurrenceScanner(self.index)
+        pid = scanner.add(self._node, self._length)
+        with self.index.read_locked():
+            return scanner.resolve_starts()[pid]
 
     def reset(self):
         """Back to the root, alive, nothing consumed."""
@@ -136,7 +137,7 @@ class StreamMatcher:
             raise SearchError("min_length must be >= 1")
         self.index = index
         self.min_length = min_length
-        self._result = MatchingResult()
+        self._result = matching.MatchingResult()
         self._node = 0
         self._length = 0
         self._consumed = 0
@@ -152,9 +153,10 @@ class StreamMatcher:
             raise SearchError("feed exactly one character")
         code = self.index.alphabet.encode_char(ch)
         prev_node, prev_length = self._node, self._length
-        hit = _extend_longest(self.index, self._node, self._length,
-                              code, self._result,
-                              self._tracer.active)
+        with self.index.read_locked():
+            hit = matching._extend_longest(
+                self.index, self._node, self._length, code,
+                self._result, self._tracer.active)
         event = None
         if hit is None:
             self._node, self._length = 0, 0

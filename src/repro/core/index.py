@@ -46,17 +46,23 @@ and the sparse rib/extrib maps in dicts keyed by ``node * alphabet_size
 
 from __future__ import annotations
 
+import contextlib
 import time
 from array import array
 
 from repro.alphabet import alphabet_for, dna_alphabet
+from repro.core import search
 from repro.exceptions import ConstructionError, SearchError
 from repro.obs import get_registry
-from repro.obs.trace import get_tracer
+
+_UNLOCKED = contextlib.nullcontext()
 
 
 class SpineIndex:
     """Horizontally-compacted trie index over a single string.
+
+    The reference layer of the query engine's layer protocol
+    (``docs/api.md``); its queries run in :mod:`repro.core.search`.
 
     Parameters
     ----------
@@ -75,6 +81,9 @@ class SpineIndex:
     >>> idx.find_all("ac")
     [1, 4, 7]
     """
+
+    #: Prefix of this layer's metric and span names.
+    NAME_PREFIX = ""
 
     def __init__(self, text="", alphabet=None, track_stats=False):
         if alphabet is None:
@@ -362,22 +371,20 @@ class SpineIndex:
         """Total number of extrib elements across all chains."""
         return sum(len(chain) for chain in self._extchains.values())
 
-    def iter_link_entries(self, lo=0, hi=None, min_lel=0):
+    def iter_link_entries(self, lo, hi, min_lel, targets):
         """Yield ``(j, dest, LEL)`` for backbone nodes ``lo < j <= hi``
-        whose LEL is at least ``min_lel``.
+        whose LEL is at least ``min_lel`` and whose link destination is
+        in ``targets`` — the downstream-scan primitive of
+        :class:`~repro.core.search.OccurrenceScanner`.
 
-        The downstream-scan primitive shared by
-        :class:`~repro.core.search.OccurrenceScanner` and the batch
-        engine; nodes below the LEL floor can never end a registered
-        occurrence, so callers may skip them.
+        Membership is tested lazily, entry by entry, so the caller may
+        grow ``targets`` between yields.
         """
         link_dest = self._link_dest
         link_lel = self._link_lel
-        n = self._n if hi is None else min(hi, self._n)
-        for j in range(lo + 1, n + 1):
-            lel = link_lel[j]
-            if lel >= min_lel:
-                yield j, link_dest[j], lel
+        for j in range(lo + 1, min(hi, self._n) + 1):
+            if link_lel[j] >= min_lel and link_dest[j] in targets:
+                yield j, link_dest[j], link_lel[j]
 
     def ribs_at(self, node):
         """Dict ``code -> (dest, PT)`` of all ribs at ``node``."""
@@ -437,69 +444,44 @@ class SpineIndex:
         if _span is not None:
             _span.event("pt-reject", node=node, pt=pt,
                         pathlength=pathlength)
-            for e_dest, e_pt in self._extchains.get(key, ()):
-                taken = e_pt >= pathlength
+        for e_dest, e_pt in self._extchains.get(key, ()):
+            taken = e_pt >= pathlength
+            if _span is not None:
                 _span.event("extrib-fallthrough", node=node, pt=e_pt,
                             pathlength=pathlength, dest=e_dest,
                             taken=taken)
-                if taken:
-                    return e_dest
+            if taken:
+                return e_dest
+        if _span is not None:
             _span.event("no-edge", node=node, code=code,
                         pathlength=pathlength, exhausted="extribs")
-            return None
-        for e_dest, e_pt in self._extchains.get(key, ()):
-            if e_pt >= pathlength:
-                return e_dest
         return None
 
     # ------------------------------------------------------------------
-    # queries (thin wrappers over repro.core.search)
+    # queries (the engine in repro.core.search / repro.core.matching)
     # ------------------------------------------------------------------
+
+    def read_locked(self):
+        """The layer protocol's read lock: a null context, because an
+        in-memory index is consistent for any snapshot-bounded reader
+        (see :meth:`append_code`)."""
+        return _UNLOCKED
 
     def contains(self, pattern):
         """True iff ``pattern`` is a substring of the indexed string."""
-        from repro.core.search import find_first_end
-
-        if pattern == "":
-            return True
-        registry = get_registry()
-        tracer = get_tracer()
-        span = (tracer.begin("search.contains", pattern=pattern)
-                if tracer.enabled else None)
-        if registry.enabled:
-            started = time.perf_counter()
-            codes = self.alphabet.try_encode(pattern)
-            # A foreign character cannot occur: clean miss, no raise.
-            found = codes is not None and find_first_end(
-                self, codes, registry, span) is not None
-            registry.counter("search.queries").inc()
-            if not found:
-                registry.counter("search.misses").inc()
-            registry.timer("search.contains.seconds").observe(
-                time.perf_counter() - started)
-        else:
-            codes = self.alphabet.try_encode(pattern)
-            found = codes is not None and find_first_end(
-                self, codes, _span=span) is not None
-        if span is not None:
-            tracer.finish(span, status="hit" if found else "miss")
-        return found
+        return search.contains(self, pattern)
 
     def find_first(self, pattern):
         """0-indexed start of the first occurrence, or ``None``."""
-        from repro.core.search import find_first
-
-        return find_first(self, pattern)
+        return search.find_first(self, pattern)
 
     def find_all(self, pattern):
         """Sorted 0-indexed starts of every occurrence."""
-        from repro.core.search import find_all
-
-        return find_all(self, pattern)
+        return search.find_all(self, pattern)
 
     def count(self, pattern):
         """Number of (possibly overlapping) occurrences."""
-        return len(self.find_all(pattern))
+        return search.count(self, pattern)
 
     # ------------------------------------------------------------------
     # prefix partitioning (Section 2.7)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.core.search import OccurrenceScanner
+from repro.core import search
 from repro.exceptions import SearchError
 from repro.obs import get_registry
 from repro.obs.trace import get_tracer
@@ -76,76 +76,47 @@ class MaximalMatch:
         return self.query_start + self.length
 
 
-def _extend_longest(index, cur, length, code, result, _span=None):
+def _extend_longest(index, cur, length, code, result, span=None):
     """Extend the longest possible suffix of the current match by ``code``.
 
     Returns ``(node, new_length)`` or ``None`` when ``code`` extends not
     even the empty suffix (the character does not occur in the data
     string). ``cur`` must be the first-occurrence end node of the current
-    length-``length`` match. ``_span`` is an active trace span
-    (:mod:`repro.obs.trace`); rib decisions and link hops land on it.
+    length-``length`` match. ``span`` is an active trace span
+    (:mod:`repro.obs.trace`); edge decisions and link hops land on it.
+
+    Built on the layer's ``step``: when the full-length step fails, the
+    rib for ``code`` at ``cur`` (if any) failed its threshold and so did
+    every element of its extrib chain, so the longest suffix recorded
+    at ``cur`` that *does* extend is the chain's last element — or the
+    rib itself when the chain is empty.
     """
-    codes = index._codes
-    ribs = index._ribs
-    extchains = index._extchains
-    link_dest = index._link_dest
-    link_lel = index._link_lel
-    asize = index._asize
-    n = index._n
+    step = index.step
     while True:
         result.checks += 1
-        if cur < n and codes[cur + 1] == code:
-            if _span is not None:
-                _span.vertebra(cur)
-            return cur + 1, length + 1
-        cand_dest = -1
-        cand_pt = -1
-        key = cur * asize + code
-        rib = ribs.get(key)
-        if rib is not None:
-            d, pt = rib
-            if _span is not None:
-                _span.event("enter-rib", node=cur, code=code, dest=d,
-                            pt=pt, pathlength=length)
-            if length <= pt:
-                if _span is not None:
-                    _span.event("pt-accept", node=cur, pt=pt,
-                                pathlength=length, dest=d)
-                return d, length + 1
-            if _span is not None:
-                _span.event("pt-reject", node=cur, pt=pt,
-                            pathlength=length)
-            # Walk the extrib chain for a full-length extension; remember
-            # the longest threshold seen as the shortened fallback
-            # candidate.
-            cand_dest, cand_pt = d, pt
-            for e_dest, e_pt in extchains.get(key, ()):
-                taken = e_pt >= length
-                if _span is not None:
-                    _span.event("extrib-fallthrough", node=cur,
-                                pt=e_pt, pathlength=length,
-                                dest=e_dest, taken=taken)
-                if taken:
-                    return e_dest, length + 1
-                cand_dest, cand_pt = e_dest, e_pt
+        nxt = step(cur, length, code, span)
+        if nxt is not None:
+            return nxt, length + 1
         if cur == 0:
             # At the root the match length is zero; no edge means the
             # character is absent from the data string.
-            if _span is not None:
-                _span.event("no-edge", node=0, code=code, pathlength=0)
             return None
-        lel = link_lel[cur]
-        if cand_pt >= lel:
-            # The longest extendable suffix is recorded at this node.
-            if _span is not None:
-                _span.event("pt-accept", node=cur, pt=cand_pt,
-                            pathlength=cand_pt, dest=cand_dest,
-                            shortened=True)
-            return cand_dest, cand_pt + 1
-        if _span is not None:
-            _span.event("link-hop", src=cur, dest=link_dest[cur],
-                        lel=lel, pathlength=length)
-        cur = link_dest[cur]
+        dest, lel = index.link(cur)
+        rib = index.rib(cur, code)
+        if rib is not None:
+            chain = index.extrib_chain(cur, code)
+            cand_dest, cand_pt = chain[-1] if chain else rib
+            if cand_pt >= lel:
+                # The longest extendable suffix is recorded at this node.
+                if span is not None:
+                    span.event("pt-accept", node=cur, pt=cand_pt,
+                               pathlength=cand_pt, dest=cand_dest,
+                               shortened=True)
+                return cand_dest, cand_pt + 1
+        if span is not None:
+            span.event("link-hop", src=cur, dest=dest, lel=lel,
+                       pathlength=length)
+        cur = dest
         length = lel
         result.link_hops += 1
 
@@ -154,41 +125,47 @@ def matching_statistics(index, query):
     """End-aligned matching statistics of ``query`` against the index.
 
     Returns a :class:`MatchingResult`; ``lengths[j]`` is the longest
-    suffix of ``query[:j+1]`` occurring in the data string.
+    suffix of ``query[:j+1]`` occurring in the data string. Runs on
+    every traversal layer, under its read lock.
     """
+    codes = index.alphabet.encode(query)
+    prefix = index.NAME_PREFIX
     registry = get_registry()
     observing = registry.enabled
     tracer = get_tracer()
-    span = (tracer.begin("matching.statistics", query_chars=len(query))
+    span = (tracer.begin(prefix + "matching.statistics",
+                         query_chars=len(query))
             if tracer.enabled else None)
     if observing:
         started = time.perf_counter()
-    codes = index.alphabet.encode(query)
     result = MatchingResult()
     lengths = result.lengths
     end_nodes = result.end_nodes
     cur = 0
     length = 0
-    for code in codes:
-        hit = _extend_longest(index, cur, length, code, result, span)
-        if hit is None:
-            cur, length = 0, 0
-        else:
-            cur, length = hit
-        lengths.append(length)
-        end_nodes.append(cur)
+    with index.read_locked():
+        for code in codes:
+            hit = _extend_longest(index, cur, length, code, result, span)
+            if hit is None:
+                cur, length = 0, 0
+            else:
+                cur, length = hit
+            lengths.append(length)
+            end_nodes.append(cur)
     if span is not None:
         tracer.finish(span, status="done", checks=result.checks,
                       link_hops=result.link_hops)
     if observing:
         # One bulk publish per streamed query — the per-hop accounting
         # already lives in the MatchingResult.
-        registry.counter("matching.queries").inc()
-        registry.counter("matching.chars").inc(len(codes))
-        registry.counter("matching.checks").inc(result.checks)
-        registry.counter("matching.link_hops").inc(result.link_hops)
-        registry.histogram("matching.match_length").observe_many(lengths)
-        registry.timer("matching.statistics.seconds").observe(
+        registry.counter(prefix + "matching.queries").inc()
+        registry.counter(prefix + "matching.chars").inc(len(codes))
+        registry.counter(prefix + "matching.checks").inc(result.checks)
+        registry.counter(prefix + "matching.link_hops").inc(
+            result.link_hops)
+        registry.histogram(prefix + "matching.match_length").observe_many(
+            lengths)
+        registry.timer(prefix + "matching.statistics.seconds").observe(
             time.perf_counter() - started)
     return result
 
@@ -198,9 +175,10 @@ def maximal_matches(index, query, min_length=1, with_positions=True):
 
     A match is reported at query position ``j`` when the running match of
     length ``L`` cannot be extended past ``j`` and ``L >= min_length``;
-    its data occurrences ("including repetitions") are resolved in one
-    shared backbone scan (:class:`repro.core.search.OccurrenceScanner`),
-    exactly the deferred strategy of Section 4.
+    with ``with_positions`` its data occurrences ("including
+    repetitions") are resolved in one shared backbone scan
+    (:class:`repro.core.search.OccurrenceScanner`), exactly the deferred
+    strategy of Section 4.
 
     Returns ``(matches, result)`` with ``matches`` a list of
     :class:`MaximalMatch` ordered by query position and ``result`` the
@@ -209,21 +187,6 @@ def maximal_matches(index, query, min_length=1, with_positions=True):
     if min_length < 1:
         raise SearchError("min_length must be >= 1")
     result = matching_statistics(index, query)
-    return (resolve_maximal_matches(index, result, min_length,
-                                    with_positions), result)
-
-
-def resolve_maximal_matches(index, result, min_length,
-                            with_positions=True):
-    """The :class:`MaximalMatch` list of a finished matching-statistics
-    ``result`` — shared by :func:`maximal_matches` and the disk layer's
-    ``maximal_matches``.
-
-    Each right-maximal run of length ``>= min_length`` becomes one
-    match; with ``with_positions`` all their data occurrences are
-    resolved by one :class:`~repro.core.search.OccurrenceScanner` pass
-    over ``index``.
-    """
     lengths = result.lengths
     end_nodes = result.end_nodes
     m = len(lengths)
@@ -237,19 +200,16 @@ def resolve_maximal_matches(index, result, min_length,
             events.append((j, length, end_nodes[j]))
     if not with_positions:
         return [MaximalMatch(j - length + 1, length, ())
-                for j, length, _ in events]
-    scanner = OccurrenceScanner(index)
+                for j, length, _ in events], result
+    scanner = search.OccurrenceScanner(index)
     pids = [scanner.add(end_node, length)
             for _, length, end_node in events]
-    starts = scanner.resolve_starts() if events else {}
-    matches = []
-    for pid, (j, length, _) in zip(pids, events):
-        matches.append(MaximalMatch(
-            query_start=j - length + 1,
-            length=length,
-            data_starts=tuple(starts[pid]),
-        ))
-    return matches
+    with index.read_locked():
+        starts = scanner.resolve_starts() if events else {}
+    matches = [MaximalMatch(query_start=j - length + 1, length=length,
+                            data_starts=tuple(starts[pid]))
+               for pid, (j, length, _) in zip(pids, events)]
+    return matches, result
 
 
 def brute_force_matching_statistics(data, query):

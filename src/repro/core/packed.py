@@ -20,17 +20,22 @@ index into the paper's optimized layout:
   stored out of line, with the in-row value acting as an overflow key
   (Section 5.1's robustness mechanism).
 
-The packed form is immutable and answers the same queries as the
-reference index (``step``, ``find_first``, ``find_all``); equivalence is
-asserted property-style in the tests. It is also the unit the
+The packed form is immutable and implements the same layer protocol as
+the reference index, so the one query engine answers on it; equivalence
+is asserted property-style in the tests. It is also the unit the
 disk-resident implementation pages over (:mod:`repro.disk`).
 """
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
+from repro.core import matching, search
 from repro.exceptions import ConstructionError, SearchError
+
+_UNLOCKED = contextlib.nullcontext()
 
 #: Sentinel stored in a two-byte label field when the true value lives
 #: in the overflow table.
@@ -59,8 +64,12 @@ class PackedSpineIndex:
     """Immutable, array-backed SPINE in the Section 5 layout.
 
     Build with :meth:`from_index`; query with the same search surface as
-    the reference implementation.
+    the reference implementation — the engine in
+    :mod:`repro.core.search` over this layer's storage accessors.
     """
+
+    #: Prefix of this layer's metric and span names.
+    NAME_PREFIX = "packed."
 
     def __init__(self):
         self.alphabet = None
@@ -179,15 +188,17 @@ class PackedSpineIndex:
             lel = self._lel_overflow.get(i, lel)
         return dest, lel
 
-    def iter_link_entries(self, lo=0, hi=None, min_lel=0):
+    def iter_link_entries(self, lo, hi, min_lel, targets):
         """Yield ``(j, dest, LEL)`` for nodes ``lo < j <= hi`` with
-        ``LEL >= min_lel`` (the shared downstream-scan primitive).
+        ``LEL >= min_lel`` and ``dest`` in ``targets`` (the shared
+        downstream-scan primitive; ``targets`` may grow between
+        yields).
 
         Candidate selection is vectorized over the stored LEL column —
         entries at the overflow sentinel qualify for any floor and are
         resolved through the overflow table before being yielded.
         """
-        n = self._n if hi is None else min(hi, self._n)
+        n = min(hi, self._n)
         if lo >= n:
             return
         threshold = min(min_lel, OVERFLOW_SENTINEL)
@@ -197,14 +208,15 @@ class PackedSpineIndex:
             self._lt_lel[lo + 1:n + 1] >= threshold)[0] + (lo + 1)
         lt_ref = self._lt_ref
         lt_lel = self._lt_lel
-        for j in candidates:
-            j = int(j)
+        for j in candidates.tolist():
             ref = int(lt_ref[j])
             if ref >= 0:
                 dest = ref
             else:
                 fanout, row = self._decode_ptr(ref)
                 dest = int(self._tables[fanout].ld[row])
+            if dest not in targets:
+                continue
             lel = int(lt_lel[j])
             if lel == OVERFLOW_SENTINEL:
                 lel = self._lel_overflow.get(j, lel)
@@ -290,14 +302,8 @@ class PackedSpineIndex:
             if _span is not None:
                 _span.event("pt-reject", node=node, pt=pt,
                             pathlength=pathlength)
-            chain = self._chains.get((fanout, row, slot))
-            if chain is None:
-                if _span is not None:
-                    _span.event("no-edge", node=node, code=int(code),
-                                pathlength=pathlength,
-                                exhausted="extribs")
-                return None
-            offset, length = chain
+            offset, length = self._chains.get((fanout, row, slot),
+                                              (0, 0))
             ext_pt = self._ext_pt
             for k in range(offset, offset + length):
                 e_pt = int(ext_pt[k])
@@ -318,163 +324,34 @@ class PackedSpineIndex:
                         pathlength=pathlength)
         return None
 
+    # ------------------------------------------------------------------
+    # queries (the engine in repro.core.search / repro.core.matching)
+    # ------------------------------------------------------------------
+
+    def read_locked(self):
+        """The layer protocol's read lock: a null context (the packed
+        form is immutable)."""
+        return _UNLOCKED
+
     def contains(self, pattern):
         """True iff ``pattern`` occurs in the indexed string."""
-        from repro.obs.trace import get_tracer
-
-        tracer = get_tracer()
-        span = (tracer.begin("packed.search.contains", pattern=pattern)
-                if tracer.enabled else None)
-        codes = self.alphabet.try_encode(pattern)
-        if codes is None:
-            # A foreign character cannot occur: clean miss, no raise.
-            if span is not None:
-                tracer.finish(span, status="miss", alphabet_miss=True)
-            return False
-        node = 0
-        for pathlength, code in enumerate(codes):
-            node = self.step(node, pathlength, code, span)
-            if node is None:
-                if span is not None:
-                    tracer.finish(span, status="miss")
-                return False
-        if span is not None:
-            tracer.finish(span, status="hit")
-        return True
+        return search.contains(self, pattern)
 
     def find_first(self, pattern):
         """0-indexed start of the first occurrence, or ``None``."""
-        codes = self.alphabet.try_encode(pattern)
-        if codes is None:
-            return None
-        node = 0
-        for pathlength, code in enumerate(codes):
-            node = self.step(node, pathlength, code)
-            if node is None:
-                return None
-        return node - len(codes)
+        return search.find_first(self, pattern)
 
     def find_all(self, pattern):
-        """Sorted 0-indexed starts of all occurrences.
-
-        The downstream link scan is vectorized: candidate nodes are
-        those whose stored LEL covers the pattern length (the overflow
-        sentinel trivially qualifies), then the target-set recurrence
-        runs only over the candidates.
-        """
-        if pattern == "":
-            raise SearchError("find_all of the empty pattern is "
-                              "ill-defined")
-        codes = self.alphabet.try_encode(pattern)
-        if codes is None:
-            return []
-        node = 0
-        for pathlength, code in enumerate(codes):
-            node = self.step(node, pathlength, code)
-            if node is None:
-                return []
-        m = len(codes)
-        first_end = node
-        threshold = min(m, OVERFLOW_SENTINEL)
-        candidates = np.nonzero(self._lt_lel >= threshold)[0]
-        candidates = candidates[candidates > first_end]
-        targets = {first_end}
-        starts = [first_end - m]
-        lt_ref = self._lt_ref
-        for j in candidates:
-            j = int(j)
-            ref = int(lt_ref[j])
-            if ref >= 0:
-                dest = ref
-            else:
-                fanout, row = self._decode_ptr(ref)
-                dest = int(self._tables[fanout].ld[row])
-            if dest in targets:
-                targets.add(j)
-                starts.append(j - m)
-        return starts
+        """Sorted 0-indexed starts of all occurrences."""
+        return search.find_all(self, pattern)
 
     def count(self, pattern):
-        """Number of (overlapping) occurrences of ``pattern``.
-
-        Shares :meth:`find_all`'s semantics exactly — including the
-        :class:`~repro.exceptions.SearchError` on the empty pattern and
-        the clean 0 for unencodable patterns.
-        """
-        return len(self.find_all(pattern))
-
-    def link_scan_candidates(self, min_lel):
-        """Node ids whose stored LEL is at least ``min_lel``
-        (vectorized; overflow entries qualify for any threshold)."""
-        threshold = min(min_lel, OVERFLOW_SENTINEL)
-        return np.nonzero(self._lt_lel >= threshold)[0]
+        """Number of (overlapping) occurrences of ``pattern``."""
+        return search.count(self, pattern)
 
     def matching_statistics(self, query):
-        """Matching statistics against the packed layout.
-
-        Same semantics and check accounting as
-        :func:`repro.core.matching.matching_statistics`; exists so the
-        compact layout offers the full query surface.
-        """
-        from repro.core.matching import MatchingResult
-
-        result = MatchingResult()
-        cur, length = 0, 0
-        for code in self.alphabet.encode(query):
-            hit = self._extend_longest(cur, length, code, result)
-            if hit is None:
-                cur, length = 0, 0
-            else:
-                cur, length = hit
-            result.lengths.append(length)
-            result.end_nodes.append(cur)
-        return result
-
-    def _extend_longest(self, cur, length, code, result):
-        n = self._n
-        codes = self._codes
-        while True:
-            result.checks += 1
-            if cur < n and codes[cur + 1] == code:
-                return cur + 1, length + 1
-            cand_dest = -1
-            cand_pt = -1
-            ref = int(self._lt_ref[cur])
-            if ref < 0:
-                fanout, row = self._decode_ptr(ref)
-                table = self._tables[fanout]
-                link_dest = int(table.ld[row])
-                row_codes = table.codes[row]
-                for slot in range(fanout):
-                    if row_codes[slot] != code:
-                        continue
-                    dest = int(table.dests[row, slot])
-                    pt = int(table.pts[row, slot])
-                    if length <= pt:
-                        return dest, length + 1
-                    cand_dest, cand_pt = dest, pt
-                    span = self._chains.get((fanout, row, slot))
-                    if span is not None:
-                        offset, count = span
-                        for k in range(offset, offset + count):
-                            e_pt = int(self._ext_pt[k])
-                            if e_pt >= length:
-                                return int(self._ext_dest[k]), length + 1
-                            cand_dest = int(self._ext_dest[k])
-                            cand_pt = e_pt
-                    break
-            else:
-                link_dest = ref
-            if cur == 0:
-                return None
-            lel = int(self._lt_lel[cur])
-            if lel == OVERFLOW_SENTINEL:
-                lel = self._lel_overflow.get(cur, lel)
-            if cand_pt >= lel:
-                return cand_dest, cand_pt + 1
-            cur = link_dest
-            length = lel
-            result.link_hops += 1
+        """Matching statistics against the packed layout."""
+        return matching.matching_statistics(self, query)
 
     # ------------------------------------------------------------------
     # space accounting

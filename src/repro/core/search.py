@@ -1,4 +1,4 @@
-"""Searching a SPINE index (paper Section 4).
+"""The SPINE query engine (paper Section 4).
 
 Finding the *first* occurrence of a pattern is a single root-to-node
 traversal obeying the PT/PRT edge constraints. Finding *all* occurrences
@@ -9,7 +9,17 @@ whose link lands in the growing target set with sufficient LEL.
 
 The paper defers the downstream scan and resolves *all* patterns found
 during a matching run in one shared sequential pass;
-:class:`OccurrenceScanner` implements that batched form.
+:class:`OccurrenceScanner` implements that batched form, and a
+single-pattern :func:`find_all` is one registration with it.
+
+Every verb here serves all three traversal layers — the reference
+:class:`~repro.core.index.SpineIndex`, the packed layout and the
+page-resident disk index — through the narrow layer protocol of
+``docs/api.md`` ("Layer protocol"). Metric and span names carry the
+layer's ``NAME_PREFIX`` (``""``, ``"packed."``, ``"disk."``). Every verb
+takes an optional snapshot ``limit`` — answer against the prefix of
+that length (Section 2.7) — and an optional
+:class:`~repro.resilience.CancellationToken` ``cancel``.
 """
 
 from __future__ import annotations
@@ -21,79 +31,126 @@ from repro.obs import get_registry
 from repro.obs.trace import get_tracer
 
 
-def find_first_end(index, codes, _metrics=None, _span=None):
-    """End node of the first occurrence of ``codes``, or ``None``.
+def find_first_end(index, codes, limit=None, cancel=None, span=None,
+                   metrics=None):
+    """End node of the first occurrence of ``codes`` within the prefix
+    of length ``limit`` (default: the whole index), or ``None``.
 
     ``codes`` is a sequence of alphabet codes; the empty sequence ends
-    at the root (node 0). ``_metrics`` is an enabled registry used by
-    the instrumented query wrappers below; step accounting is one bulk
-    counter update per call, never per character. ``_span`` is an
-    active trace span; when given, every edge decision of the
-    traversal lands on it (:mod:`repro.obs.trace`).
+    at the root (node 0). A step landing beyond ``limit`` is a dead
+    end: by Section 2.7 that edge does not exist in the prefix
+    sub-index (edges planted after character ``limit`` always point
+    past it). ``cancel`` is checkpointed once per step (an amortized
+    integer decrement — see :mod:`repro.resilience.deadline`). ``span``
+    is an active trace span collecting every edge decision
+    (:mod:`repro.obs.trace`); ``metrics`` is an enabled registry that
+    receives one bulk ``search.steps`` update per call, never one per
+    character.
     """
-    node = 0
+    if limit is None:
+        limit = len(index)
     step = index.step
-    if _span is not None:
-        for pathlength, code in enumerate(codes):
-            node = step(node, pathlength, code, _span)
-            if node is None:
-                if _metrics is not None:
-                    _metrics.counter("search.steps").inc(pathlength + 1)
-                return None
-        if _metrics is not None:
-            _metrics.counter("search.steps").inc(len(codes))
-        return node
+    checkpoint = None if cancel is None else cancel.checkpoint
+    node = 0
+    steps = len(codes)
     for pathlength, code in enumerate(codes):
-        node = step(node, pathlength, code)
-        if node is None:
-            if _metrics is not None:
-                _metrics.counter("search.steps").inc(pathlength + 1)
-            return None
-    if _metrics is not None:
-        _metrics.counter("search.steps").inc(len(codes))
+        if checkpoint is not None:
+            checkpoint()
+        node = step(node, pathlength, code, span)
+        if node is None or node > limit:
+            node = None
+            steps = pathlength + 1
+            break
+    if metrics is not None:
+        metrics.counter(index.NAME_PREFIX + "search.steps").inc(steps)
     return node
 
 
-def find_first(index, pattern):
+def _lookup(verb, index, pattern, limit, cancel, scan):
+    """The instrumented core of the point-query verbs.
+
+    Encodes ``pattern``, traverses to its first occurrence and, with
+    ``scan``, resolves every occurrence by the link scan — all under
+    the layer's read lock. Returns ``(m, ends)``: the pattern length in
+    codes and the ascending end nodes (empty on a miss; a pattern with
+    a character outside the alphabet cannot occur and is a clean
+    miss). Metrics and the trace span are emitted here, once, for
+    every layer.
+    """
+    prefix = index.NAME_PREFIX
+    registry = get_registry()
+    metrics = registry if registry.enabled else None
+    tracer = get_tracer()
+    span = (tracer.begin(prefix + "search." + verb, pattern=pattern)
+            if tracer.enabled else None)
+    if metrics is not None:
+        started = time.perf_counter()
+    codes = index.alphabet.try_encode(pattern)
+    ends = []
+    scan_nodes = None
+    if codes is not None:
+        try:
+            with index.read_locked():
+                first_end = find_first_end(index, codes, limit, cancel,
+                                           span, metrics)
+                if first_end is not None and not scan:
+                    ends = [first_end]
+                elif first_end is not None:
+                    scanner = OccurrenceScanner(index)
+                    pid = scanner.add(first_end, len(codes))
+                    ends = scanner.resolve(limit, cancel)[pid]
+                    scan_nodes = scanner.last_scan_nodes
+        except BaseException as exc:
+            if span is not None:
+                tracer.finish(span, status="error",
+                              error=type(exc).__name__)
+            raise
+    if metrics is not None:
+        metrics.counter(prefix + "search.queries").inc()
+        if not ends:
+            metrics.counter(prefix + "search.misses").inc()
+        elif scan_nodes is not None:
+            metrics.counter(prefix + "search.occurrences").inc(len(ends))
+            # The downstream scan walks the backbone from the first
+            # match's end to the tail (Section 4's link-scan).
+            metrics.counter(prefix + "search.scan_nodes").inc(scan_nodes)
+            metrics.histogram(prefix + "search.scan_length").observe(
+                scan_nodes)
+        metrics.observe_latency(prefix + "search." + verb,
+                                time.perf_counter() - started)
+    if span is not None:
+        attrs = {}
+        if codes is None:
+            attrs["alphabet_miss"] = True
+        if ends:
+            attrs["end_node"] = ends[0]
+        if scan_nodes is not None:
+            attrs["occurrences"] = len(ends)
+            attrs["scan_nodes"] = scan_nodes
+        tracer.finish(span, status="hit" if ends else "miss", **attrs)
+    return (0 if codes is None else len(codes)), ends
+
+
+def contains(index, pattern, limit=None, cancel=None):
+    """True iff ``pattern`` is a substring of the indexed string (of
+    its length-``limit`` prefix). The empty pattern always is."""
+    if pattern == "":
+        return True
+    return bool(_lookup("contains", index, pattern, limit, cancel,
+                        False)[1])
+
+
+def find_first(index, pattern, limit=None, cancel=None):
     """0-indexed start of the first occurrence of ``pattern``.
 
     Returns ``None`` when the pattern does not occur. The empty pattern
     trivially occurs at position 0.
     """
-    registry = get_registry()
-    metrics = registry if registry.enabled else None
-    tracer = get_tracer()
-    span = (tracer.begin("search.find_first", pattern=pattern)
-            if tracer.enabled else None)
-    if metrics is not None:
-        started = time.perf_counter()
-    codes = index.alphabet.try_encode(pattern)
-    if codes is None:
-        # A character outside the alphabet cannot occur: clean miss.
-        if metrics is not None:
-            metrics.counter("search.queries").inc()
-            metrics.counter("search.misses").inc()
-            metrics.observe_latency("search.find_first",
-                                    time.perf_counter() - started)
-        if span is not None:
-            tracer.finish(span, status="miss", alphabet_miss=True)
-        return None
-    end = find_first_end(index, codes, metrics, span)
-    if metrics is not None:
-        metrics.counter("search.queries").inc()
-        if end is None:
-            metrics.counter("search.misses").inc()
-        metrics.observe_latency("search.find_first",
-                                time.perf_counter() - started)
-    if span is not None:
-        tracer.finish(span, status="miss" if end is None else "hit",
-                      end_node=end)
-    if end is None:
-        return None
-    return end - len(codes)
+    m, ends = _lookup("find_first", index, pattern, limit, cancel, False)
+    return ends[0] - m if ends else None
 
 
-def find_all(index, pattern):
+def find_all(index, pattern, limit=None, cancel=None):
     """Sorted 0-indexed starts of all occurrences of ``pattern``.
 
     First occurrence by traversal, remaining occurrences by the
@@ -104,66 +161,18 @@ def find_all(index, pattern):
     """
     if pattern == "":
         raise SearchError("find_all of the empty pattern is ill-defined")
-    registry = get_registry()
-    metrics = registry if registry.enabled else None
-    tracer = get_tracer()
-    span = (tracer.begin("search.find_all", pattern=pattern)
-            if tracer.enabled else None)
-    if metrics is not None:
-        started = time.perf_counter()
-    codes = index.alphabet.try_encode(pattern)
-    if codes is None:
-        # A character outside the alphabet cannot occur: clean miss.
-        if metrics is not None:
-            metrics.counter("search.queries").inc()
-            metrics.counter("search.misses").inc()
-            metrics.observe_latency("search.find_all",
-                                    time.perf_counter() - started)
-        if span is not None:
-            tracer.finish(span, status="miss", alphabet_miss=True)
-        return []
-    first_end = find_first_end(index, codes, metrics, span)
-    if first_end is None:
-        if metrics is not None:
-            metrics.counter("search.queries").inc()
-            metrics.counter("search.misses").inc()
-            metrics.observe_latency("search.find_all",
-                                    time.perf_counter() - started)
-        if span is not None:
-            tracer.finish(span, status="miss")
-        return []
-    m = len(codes)
-    ends = _scan_occurrences(index, first_end, m)
-    if metrics is not None:
-        metrics.counter("search.queries").inc()
-        metrics.counter("search.occurrences").inc(len(ends))
-        # The downstream scan walks the backbone from the first match's
-        # end to the tail (Section 4's link-scan).
-        metrics.counter("search.scan_nodes").inc(index._n - first_end)
-        metrics.histogram("search.scan_length").observe(
-            index._n - first_end)
-        metrics.observe_latency("search.find_all",
-                                time.perf_counter() - started)
-    if span is not None:
-        tracer.finish(span, status="hit", end_node=first_end,
-                      occurrences=len(ends),
-                      scan_nodes=index._n - first_end)
+    m, ends = _lookup("find_all", index, pattern, limit, cancel, True)
     return [end - m for end in ends]
 
 
-def _scan_occurrences(index, first_end, m):
-    """All end nodes of a pattern of length ``m`` first ending at
-    ``first_end``, in ascending order."""
-    link_dest = index._link_dest
-    link_lel = index._link_lel
-    n = index._n
-    targets = {first_end}
-    ends = [first_end]
-    for j in range(first_end + 1, n + 1):
-        if link_lel[j] >= m and link_dest[j] in targets:
-            targets.add(j)
-            ends.append(j)
-    return ends
+def count(index, pattern, limit=None, cancel=None):
+    """Number of (possibly overlapping) occurrences of ``pattern``.
+
+    Shares :func:`find_all`'s semantics exactly — including the
+    :class:`~repro.exceptions.SearchError` on the empty pattern and the
+    clean 0 for unencodable patterns.
+    """
+    return len(find_all(index, pattern, limit, cancel))
 
 
 class OccurrenceScanner:
@@ -174,11 +183,11 @@ class OccurrenceScanner:
     single time regardless of how many patterns were registered — the
     paper's "one single final sequential scan" (Section 4).
 
-    The scan consumes link entries through the index's
-    ``iter_link_entries`` hook, so one scanner serves all three
-    traversal layers: the reference :class:`~repro.core.index.
-    SpineIndex`, the packed layout, and the page-resident disk index —
-    where the shared pass is exactly one sequential Link-Table sweep.
+    The scan consumes link entries through the layer's
+    ``iter_link_entries``, so one scanner serves all three traversal
+    layers — on the disk layer the shared pass is exactly one
+    sequential Link-Table sweep. The caller holds the layer's read
+    lock around :meth:`resolve`.
     """
 
     def __init__(self, index):
@@ -195,7 +204,7 @@ class OccurrenceScanner:
         """Register a found pattern; returns its id for :meth:`resolve`."""
         if length <= 0:
             raise SearchError("pattern length must be positive")
-        if not 1 <= first_end <= self.index._n:
+        if not 1 <= first_end <= len(self.index):
             raise SearchError(f"end node {first_end} out of range")
         if length > first_end:
             # A pattern of length m ending at node e starts at e - m;
@@ -224,17 +233,17 @@ class OccurrenceScanner:
         runs in :data:`CANCEL_CHUNK`-position windows (separate
         ``iter_link_entries`` ranges) with one poll between windows,
         so even a backbone-length scan is cancelled promptly while the
-        window interior stays the tight historical loop at its
-        original per-entry cost.
+        window interior stays the tight loop at its per-entry cost.
         """
         index = self.index
-        n = index._n if limit is None else min(limit, index._n)
+        n = len(index) if limit is None else min(limit, len(index))
         results = {pid: [first_end]
                    for pid, (first_end, _) in self._patterns.items()}
         self.last_scan_nodes = 0
         if not self._patterns:
             return results
-        # node -> list of (pid, length) target entries living there
+        # node -> list of (pid, length) target entries living there;
+        # its keys are the target set the layer filters entries by.
         node_targets = {}
         min_start = n + 1
         min_length = None
@@ -245,36 +254,23 @@ class OccurrenceScanner:
                 min_length = length
         self.last_scan_nodes = max(0, n - min_start)
         # Nodes with LEL below every registered length can never end an
-        # occurrence, so the layers may skip them while sweeping.
-        if cancel is None:
-            self._sweep(index.iter_link_entries(
-                min_start, hi=n, min_lel=min_length),
-                node_targets, results)
-        else:
-            window = self.CANCEL_CHUNK
-            lo = min_start
-            while lo < n:
+        # occurrence, so the layers skip them while sweeping.
+        window = n if cancel is None else self.CANCEL_CHUNK
+        lo = min_start
+        while lo < n:
+            if cancel is not None:
                 cancel.poll()
-                hi = min(lo + window, n)
-                self._sweep(index.iter_link_entries(
-                    lo, hi=hi, min_lel=min_length),
-                    node_targets, results)
-                lo = hi
+            hi = min(lo + window, n)
+            for j, dest, lel in index.iter_link_entries(
+                    lo, hi, min_length, node_targets):
+                hits = [(pid, length) for pid, length in node_targets[dest]
+                        if lel >= length]
+                if hits:
+                    node_targets.setdefault(j, []).extend(hits)
+                    for pid, _ in hits:
+                        results[pid].append(j)
+            lo = hi
         return results
-
-    def _sweep(self, entries_iter, node_targets, results):
-        """The inner link-scan loop over ``entries_iter``."""
-        for j, dest, lel in entries_iter:
-            entries = node_targets.get(dest)
-            if not entries:
-                continue
-            hits = [(pid, length) for pid, length in entries
-                    if lel >= length]
-            if not hits:
-                continue
-            node_targets.setdefault(j, []).extend(hits)
-            for pid, _ in hits:
-                results[pid].append(j)
 
     def resolve_starts(self, limit=None, cancel=None):
         """Like :meth:`resolve` but mapping to 0-indexed start lists."""
@@ -303,16 +299,7 @@ def trace_path(index, pattern):
     return nodes
 
 
-def is_valid_path(index, pattern):
-    """True iff a valid path for ``pattern`` exists.
-
-    By the paper's correctness theorem this holds exactly when the
-    pattern is a substring of the data string — the property the PT/PRT
-    labels exist to guarantee (no false positives, Section 2.1).
-    """
-    if pattern == "":
-        return True
-    codes = index.alphabet.try_encode(pattern)
-    if codes is None:
-        return False
-    return find_first_end(index, codes) is not None
+#: True iff a valid path for the pattern exists — by the paper's
+#: correctness theorem exactly when it is a substring of the data
+#: string (no false positives, Section 2.1), so this is :func:`contains`.
+is_valid_path = contains

@@ -41,10 +41,9 @@ import time
 import zlib
 
 from repro.alphabet import Alphabet, dna_alphabet
-from repro.core.matching import MatchingResult, resolve_maximal_matches
+from repro.core import matching, search
 from repro.exceptions import ConstructionError, SearchError, StorageError
 from repro.obs import get_registry, record_io_snapshot
-from repro.obs.trace import get_tracer
 from repro.storage.buffer import (
     BufferPool, ClockPolicy, LRUPolicy, PinTopPolicy)
 from repro.storage.pager import PageFile
@@ -282,6 +281,8 @@ class DiskSpineIndex:
     #: layout — the page geometry of a file never changes after
     #: creation).
     META_VERSION = 3
+    #: Prefix of this layer's metric and span names.
+    NAME_PREFIX = "disk."
 
     def __init__(self, alphabet=None, path=None, page_size=4096,
                  buffer_pages=64, policy="lru", sync_writes=False,
@@ -1143,8 +1144,8 @@ class DiskSpineIndex:
 
     def read_locked(self):
         """Context manager entering the query (shared) side of the
-        pool's read-write lock — what the batch engine wraps its
-        traversal + scan phases in."""
+        pool's read-write lock — what the query engine wraps each
+        traversal and scan in."""
         return self.pool.rwlock.read_locked()
 
     def link(self, i):
@@ -1154,9 +1155,10 @@ class DiskSpineIndex:
         dest, lel, _ = self._lt_read(i)
         return dest, lel
 
-    def iter_link_entries(self, lo=0, hi=None, min_lel=0):
+    def iter_link_entries(self, lo, hi, min_lel, targets):
         """Yield ``(j, dest, LEL)`` for nodes ``lo < j <= hi`` with
-        ``LEL >= min_lel`` — one strictly sequential Link-Table sweep
+        ``LEL >= min_lel`` and ``dest`` in ``targets`` (which may grow
+        between yields) — one strictly sequential Link-Table sweep
         through the buffer pool (the access pattern the paper's
         Figure 8 buffering argument is built on).
 
@@ -1165,7 +1167,7 @@ class DiskSpineIndex:
         destination was displaced into an RT row (negative ``ref``)
         costs the extra RT row read.
         """
-        n = self._n if hi is None else min(hi, self._n)
+        n = min(hi, self._n)
         rt = self._rt
         j = lo
         for ref, lel in self._lt.iter_records(lo + 1, n + 1):
@@ -1176,7 +1178,8 @@ class DiskSpineIndex:
                 ptr = -ref - 1
                 ref = rt[ptr >> _PTR_CLASS_SHIFT].read(
                     ptr & _PTR_ROW_MASK)[0]
-            yield j, ref, lel
+            if ref in targets:
+                yield j, ref, lel
 
     def step(self, node, pathlength, code, _span=None):
         """Same contract as :meth:`SpineIndex.step`, via the pool.
@@ -1230,212 +1233,30 @@ class DiskSpineIndex:
 
     def contains(self, pattern):
         """True iff ``pattern`` occurs in the indexed string."""
-        registry = get_registry()
-        tracer = get_tracer()
-        span = (tracer.begin("disk.search.contains", pattern=pattern,
-                             policy=self.policy_name)
-                if tracer.enabled else None)
-        if registry.enabled:
-            started = time.perf_counter()
-            found = self._contains(pattern, span)
-            registry.counter("disk.search.queries").inc()
-            if not found:
-                registry.counter("disk.search.misses").inc()
-            registry.observe_latency("disk.search.contains",
-                time.perf_counter() - started)
-        else:
-            found = self._contains(pattern, span)
-        if span is not None:
-            tracer.finish(span, status="hit" if found else "miss")
-        return found
+        return search.contains(self, pattern)
 
-    def _contains(self, pattern, _span=None):
-        codes = self.alphabet.try_encode(pattern)
-        if codes is None:
-            # A foreign character cannot occur: clean miss, no raise.
-            return False
-        with self.pool.rwlock.read_locked():
-            node = 0
-            for pathlength, code in enumerate(codes):
-                node = self.step(node, pathlength, code, _span)
-                if node is None:
-                    return False
-        return True
+    def find_first(self, pattern):
+        """Start of the first occurrence, or ``None`` (paper Section 4.1:
+        the traversal endpoint *is* the first occurrence's end node)."""
+        return search.find_first(self, pattern)
 
     def find_all(self, pattern):
         """Sorted 0-indexed starts of all occurrences (first occurrence
         by traversal, repetitions by the sequential LT scan)."""
-        if pattern == "":
-            raise SearchError("find_all of the empty pattern is "
-                              "ill-defined")
-        registry = get_registry()
-        tracer = get_tracer()
-        span = (tracer.begin("disk.search.find_all", pattern=pattern,
-                             policy=self.policy_name)
-                if tracer.enabled else None)
-        if registry.enabled:
-            started = time.perf_counter()
-            starts = self._find_all(pattern, span)
-            registry.counter("disk.search.queries").inc()
-            registry.counter("disk.search.occurrences").inc(len(starts))
-            if starts:
-                # The per-pattern LT sweep runs from the first match's
-                # end node to the tail (what batching amortizes away).
-                registry.counter("disk.search.scan_nodes").inc(
-                    self._n - (starts[0] + len(pattern)))
-            else:
-                registry.counter("disk.search.misses").inc()
-            registry.observe_latency("disk.search.find_all",
-                time.perf_counter() - started)
-        else:
-            starts = self._find_all(pattern, span)
-        if span is not None:
-            tracer.finish(span,
-                          status="hit" if starts else "miss",
-                          occurrences=len(starts))
-        return starts
-
-    def _find_all(self, pattern, _span=None):
-        codes = self.alphabet.try_encode(pattern)
-        if codes is None:
-            # A foreign character cannot occur: clean miss, no raise.
-            return []
-        with self.pool.rwlock.read_locked():
-            node = 0
-            for pathlength, code in enumerate(codes):
-                node = self.step(node, pathlength, code, _span)
-                if node is None:
-                    return []
-            m = len(codes)
-            targets = {node}
-            starts = [node - m]
-            for j, dest, _ in self.iter_link_entries(node, min_lel=m):
-                if dest in targets:
-                    targets.add(j)
-                    starts.append(j - m)
-            return starts
-
-    def find_first(self, pattern):
-        """Start of the first occurrence, or ``None`` (paper Section 4.1:
-        the traversal endpoint *is* the first occurrence's end node).
-
-        Same cross-layer contract as the in-memory and packed layers:
-        the empty pattern occurs at 0, a pattern with out-of-alphabet
-        characters is a clean miss.
-        """
-        if pattern == "":
-            return 0
-        codes = self.alphabet.try_encode(pattern)
-        if codes is None:
-            return None
-        with self.pool.rwlock.read_locked():
-            node = 0
-            for pathlength, code in enumerate(codes):
-                node = self.step(node, pathlength, code)
-                if node is None:
-                    return None
-        return node - len(codes)
+        return search.find_all(self, pattern)
 
     def count(self, pattern):
-        """Number of (overlapping) occurrences of ``pattern``.
-
-        Shares :meth:`find_all`'s semantics exactly — including the
-        :class:`~repro.exceptions.SearchError` on the empty pattern and
-        the clean 0 for unencodable patterns.
-        """
-        return len(self.find_all(pattern))
+        """Number of (overlapping) occurrences of ``pattern``."""
+        return search.count(self, pattern)
 
     def matching_statistics(self, query):
-        """Disk-resident matching statistics (same semantics and check
-        accounting as :func:`repro.core.matching.matching_statistics`)."""
-        with self.pool.rwlock.read_locked():
-            return self._matching_statistics(query)
-
-    def _matching_statistics(self, query):
-        tracer = get_tracer()
-        span = (tracer.begin("disk.matching.statistics",
-                             query_chars=len(query),
-                             policy=self.policy_name)
-                if tracer.enabled else None)
-        result = MatchingResult()
-        cur, length = 0, 0
-        for code in self.alphabet.encode(query):
-            hit = self._extend_longest(cur, length, code, result, span)
-            if hit is None:
-                cur, length = 0, 0
-            else:
-                cur, length = hit
-            result.lengths.append(length)
-            result.end_nodes.append(cur)
-        if span is not None:
-            tracer.finish(span, status="done", checks=result.checks,
-                          link_hops=result.link_hops)
-        return result
-
-    def _extend_longest(self, cur, length, code, result, _span=None):
-        n = self._n
-        while True:
-            result.checks += 1
-            if cur < n and self._cl.read(cur + 1)[0] == code:
-                if _span is not None:
-                    _span.vertebra(cur)
-                return cur + 1, length + 1
-            cand_dest = -1
-            cand_pt = -1
-            link_dest, link_lel, rt_ptr = self._lt_read(cur)
-            hit = self._find_slot(rt_ptr, code)
-            if hit is not None:
-                _, _, _, d, pt, chead = hit
-                if _span is not None:
-                    _span.event("enter-rib", node=cur, code=code,
-                                dest=d, pt=pt, pathlength=length)
-                if length <= pt:
-                    if _span is not None:
-                        _span.event("pt-accept", node=cur, pt=pt,
-                                    pathlength=length, dest=d)
-                    return d, length + 1
-                if _span is not None:
-                    _span.event("pt-reject", node=cur, pt=pt,
-                                pathlength=length)
-                cand_dest, cand_pt = d, pt
-                eid = chead
-                while eid != -1:
-                    e_dest, e_pt, e_next = self._ext.read(eid)
-                    taken = e_pt >= length
-                    if _span is not None:
-                        _span.event("extrib-fallthrough", node=cur,
-                                    pt=e_pt, pathlength=length,
-                                    dest=e_dest, taken=taken)
-                    if taken:
-                        return e_dest, length + 1
-                    cand_dest, cand_pt = e_dest, e_pt
-                    eid = e_next
-            if cur == 0:
-                if _span is not None:
-                    _span.event("no-edge", node=0, code=code,
-                                pathlength=0)
-                return None
-            if cand_pt >= link_lel:
-                if _span is not None:
-                    _span.event("pt-accept", node=cur, pt=cand_pt,
-                                pathlength=cand_pt, dest=cand_dest,
-                                shortened=True)
-                return cand_dest, cand_pt + 1
-            if _span is not None:
-                _span.event("link-hop", src=cur, dest=link_dest,
-                            lel=link_lel, pathlength=length)
-            cur = link_dest
-            length = link_lel
-            result.link_hops += 1
+        """Disk-resident matching statistics."""
+        return matching.matching_statistics(self, query)
 
     def maximal_matches(self, query, min_length=1):
         """Right-maximal matches with all data positions, resolved by
         one deferred LT scan (Section 4's batched strategy), on disk."""
-        if min_length < 1:
-            raise SearchError("min_length must be >= 1")
-        with self.pool.rwlock.read_locked():
-            result = self._matching_statistics(query)
-            return resolve_maximal_matches(self, result, min_length), result
+        return matching.maximal_matches(self, query, min_length)
 
     def io_snapshot(self):
         """Physical + buffer counters accumulated so far.

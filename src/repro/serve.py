@@ -46,8 +46,8 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.core.batch import (batch_find_all, check_executor_open,
-                              contains_at, find_all_at)
+from repro.core import search
+from repro.core.batch import batch_find_all, check_executor_open
 from repro.exceptions import DeadlineExceededError, ServiceClosedError
 from repro.obs import get_registry
 from repro.obs.slowlog import get_slow_log
@@ -69,8 +69,8 @@ class SnapshotGuard:
     their own bounded query methods (``contains_at`` / ``find_all_at``
     / a ``limit``-aware ``batch_find_all``); the guard delegates to
     those when present so per-shard routing stays inside the index,
-    and falls back to the flat single-index implementations in
-    :mod:`repro.core.batch` otherwise.
+    and falls back to the query engine (:mod:`repro.core.search`,
+    :mod:`repro.core.batch`) for a single layer otherwise.
 
     ``cancel`` parameters take a
     :class:`~repro.resilience.CancellationToken`; ``degraded`` is
@@ -93,7 +93,7 @@ class SnapshotGuard:
         bound = getattr(self.index, "contains_at", None)
         if bound is not None:
             return bound(pattern, self.limit, cancel=cancel)
-        return contains_at(self.index, pattern, self.limit, cancel)
+        return search.contains(self.index, pattern, self.limit, cancel)
 
     def find_all(self, pattern, cancel=None, degraded=None):
         """Sorted starts of all occurrences within the snapshot."""
@@ -101,7 +101,7 @@ class SnapshotGuard:
         if bound is not None:
             return bound(pattern, self.limit, cancel=cancel,
                          degraded=degraded)
-        return find_all_at(self.index, pattern, self.limit, cancel)
+        return search.find_all(self.index, pattern, self.limit, cancel)
 
     def batch_find_all(self, patterns, threads=1, executor=None,
                        cancel=None, degraded=None):

@@ -43,6 +43,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from repro.alphabet import Alphabet, alphabet_for, dna_alphabet
 from repro.core import batch as _batch
+from repro.core import search
 from repro.core.batch import BatchMatch
 from repro.exceptions import (CircuitOpenError, ConstructionError,
                               DeadlineExceededError, SearchError,
@@ -583,8 +584,8 @@ class ShardedSpineIndex:
                 continue
             hit = self._guard(
                 i,
-                lambda: _batch.contains_at(shard.index, pattern, bound,
-                                           cancel),
+                lambda: search.contains(shard.index, pattern, bound,
+                                        cancel),
                 degraded=False, failed={})
             if hit:
                 return True
@@ -674,8 +675,8 @@ class ShardedSpineIndex:
                            local_limit=bound)
             local = self._guard(
                 i,
-                lambda: _batch.find_all_at(shard.index, pattern, bound,
-                                           cancel),
+                lambda: search.find_all(shard.index, pattern, bound,
+                                        cancel),
                 degraded, failed)
             if i in failed:
                 if span is not None:

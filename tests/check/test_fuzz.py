@@ -116,3 +116,26 @@ class TestFuzzSmoke:
     def test_unknown_layer_rejected(self):
         with pytest.raises(ValueError):
             generate_scenario(random.Random(0), layers=["bogus"])
+
+
+def test_streaming_ops_checked_on_every_layer_but_shard(monkeypatch):
+    """Matching statistics and maximal matches are diffed on the
+    memory, packed and disk layers; the sharded layer has neither verb
+    and is skipped, not reported."""
+    from repro.core import matching
+
+    real = matching.matching_statistics
+
+    def broken(index, query):
+        result = real(index, query)
+        if result.lengths:
+            result.lengths[-1] = 0
+        return result
+
+    monkeypatch.setattr(matching, "matching_statistics", broken)
+    scenario = Scenario(alphabet="ac", text="aaccacaaca", cuts=[10],
+                        layers=["memory", "packed", "disk", "shard"],
+                        patterns=["caca"])
+    assert {(d.layer, d.op) for d in run_case(scenario)} == {
+        (layer, op) for layer in ("memory", "packed", "disk")
+        for op in ("matching_statistics", "maximal_matches")}

@@ -13,8 +13,8 @@ import pytest
 
 from repro import obs
 from repro.alphabet import Alphabet, dna_alphabet, protein_alphabet
-from repro.core import SpineIndex, batch_find_all, contains_at, find_all_at
-from repro.core.batch import BatchMatch, traverse_first_end
+from repro.core import SpineIndex, batch_find_all, search
+from repro.core.batch import BatchMatch
 from repro.core.packed import PackedSpineIndex
 from repro.core.search import OccurrenceScanner
 from repro.disk.spine_disk import DiskSpineIndex
@@ -139,10 +139,10 @@ class TestBatchSemantics:
         for k in (0, 10, 40, 80):
             prefix_text = text[:k]
             for pattern in ("a", "ab", "ba", "abab", ""):
-                assert contains_at(full, pattern, k) == \
+                assert search.contains(full, pattern, k) == \
                     (pattern in prefix_text or pattern == "")
                 if pattern:
-                    assert find_all_at(full, pattern, k) == \
+                    assert search.find_all(full, pattern, k) == \
                         brute_occurrences(prefix_text, pattern)
 
 
@@ -196,7 +196,7 @@ class TestSharedScanAcceptance:
         text, disk = self._build(rng)
         try:
             patterns = [text[i:i + 5] for i in range(0, 80, 5)]
-            ends = [traverse_first_end(disk, disk.alphabet.encode(p),
+            ends = [search.find_first_end(disk, disk.alphabet.encode(p),
                                        len(disk)) for p in patterns]
             metrics = disk.pagefile.metrics
 
@@ -239,7 +239,7 @@ class TestSharedScanAcceptance:
                 m = len(pattern)
                 codes = disk.alphabet.encode(pattern)
                 metrics.reset()
-                first_end = traverse_first_end(disk, codes, n)
+                first_end = search.find_first_end(disk, codes, n)
                 walk = metrics.buffer_hits + metrics.buffer_misses
                 metrics.reset()
                 assert disk.find_all(pattern) == \
@@ -256,7 +256,7 @@ class TestSharedScanAcceptance:
             patterns = [text[i:i + 5] for i in range(0, 80, 5)]
             scanner = OccurrenceScanner(disk)
             for pattern in patterns:
-                scanner.add(traverse_first_end(
+                scanner.add(search.find_first_end(
                     disk, disk.alphabet.encode(pattern), n), len(pattern))
             metrics.reset()
             scanner.resolve()

@@ -125,3 +125,50 @@ class TestStreamMatcher:
         for ch in "abc":
             matcher.feed(ch)
         assert matcher.checks >= 3
+
+
+def _layer(name, text, alphabet):
+    if name == "memory":
+        return SpineIndex(text, alphabet=alphabet)
+    if name == "packed":
+        from repro.core.packed import PackedSpineIndex
+
+        return PackedSpineIndex.from_index(
+            SpineIndex(text, alphabet=alphabet))
+    from repro.disk.spine_disk import DiskSpineIndex
+
+    disk = DiskSpineIndex(alphabet=alphabet, buffer_pages=4,
+                          page_size=256)
+    disk.extend(text)
+    return disk
+
+
+@pytest.mark.parametrize("layer", ["memory", "packed", "disk"])
+def test_cursors_agree_with_memory_layer_on_every_layer(layer):
+    """Both cursors run on every traversal layer and report exactly
+    what they report over the in-memory reference index."""
+    rng = random.Random(29)
+    alphabet = Alphabet("abc")
+    for _ in range(12):
+        text = "".join(rng.choice("abc")
+                       for _ in range(rng.randint(20, 120)))
+        query = "".join(rng.choice("abc") for _ in range(40))
+        reference = SpineIndex(text, alphabet=alphabet)
+        index = _layer(layer, text, alphabet)
+        try:
+            cursors = [SearchCursor(reference), SearchCursor(index)]
+            for ch in query[:8]:
+                assert cursors[0].feed(ch) == cursors[1].feed(ch)
+                live = query[:cursors[0].matched_length]
+                assert cursors[0].occurrences() == \
+                    cursors[1].occurrences() == \
+                    (brute_occurrences(text, live) if live else [])
+            matchers = [StreamMatcher(reference, min_length=2),
+                        StreamMatcher(index, min_length=2)]
+            streams = [[m.feed(ch) for ch in query] + [m.finish()]
+                       for m in matchers]
+            assert streams[0] == streams[1]
+            assert matchers[0].checks == matchers[1].checks
+        finally:
+            if layer == "disk":
+                index.close()

@@ -152,8 +152,3 @@ class TestPackedMatching:
             assert packed.matching_statistics(query).lengths == \
                 matching_statistics(index, query).lengths, (text, query)
 
-    def test_candidate_helper(self, pair):
-        index, packed = pair
-        candidates = packed.link_scan_candidates(5)
-        lels = [index.link(int(i))[1] for i in candidates if i > 0]
-        assert all(lel >= 5 for lel in lels)

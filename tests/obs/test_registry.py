@@ -203,13 +203,18 @@ class TestLibraryIntegration:
             assert index.find_all("ac") == [1, 4, 7]
             assert index.contains("caca")
             assert not index.contains("ccc")
-            counters = reg.snapshot()["counters"]
+            snapshot = reg.snapshot()
+        counters = snapshot["counters"]
         assert counters["construction.chars"] == 10
         assert counters["construction.chain_hops"] > 0
         assert counters["search.queries"] == 3
         assert counters["search.misses"] == 1
         assert counters["search.occurrences"] == 3
         assert counters["search.steps"] > 0
+        # contains reports latency quantiles like every other verb.
+        quant = snapshot["quantiles"]["search.contains.latency"]
+        assert quant["count"] == 2
+        assert quant["estimates"]["p99"] >= quant["estimates"]["p50"] > 0
 
     def test_matching_counters(self):
         from repro.core.index import SpineIndex

@@ -151,15 +151,15 @@ class _FlakyShard:
     def __init__(self, monkeypatch, sharded, shard_id):
         self.failing = False
         self.target = sharded._shards[shard_id].index
-        original = shard_index_module._batch.find_all_at
+        original = shard_index_module.search.find_all
 
-        def flaky(index, pattern, limit, cancel=None):
+        def flaky(index, pattern, limit=None, cancel=None):
             if self.failing and index is self.target:
                 raise StorageError("injected shard fault")
             return original(index, pattern, limit, cancel)
 
-        monkeypatch.setattr(shard_index_module._batch,
-                            "find_all_at", flaky)
+        monkeypatch.setattr(shard_index_module.search,
+                            "find_all", flaky)
 
 
 class TestDegradedShardServing:

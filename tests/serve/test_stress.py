@@ -7,7 +7,7 @@ Run directly in CI as a smoke step:
 
 Readers hammer ``batch_find_all`` (multi-threaded traversal phases,
 pinned page access, shared LT sweeps) or the single-pattern snapshot
-queries ``find_all_at`` / ``contains_at`` while a writer keeps
+queries ``search.find_all`` / ``search.contains`` while a writer keeps
 extending the index; the read-write lock must serialize them such that
 every answer is exactly correct for the prefix length it asked for —
 no lost occurrences, no duplicates, no torn reads.
@@ -20,7 +20,7 @@ from contextlib import contextmanager
 import pytest
 
 from repro.alphabet import dna_alphabet
-from repro.core import batch_find_all, contains_at, find_all_at
+from repro.core import batch_find_all, search
 from repro.disk.spine_disk import DiskSpineIndex
 
 from tests.conftest import brute_occurrences
@@ -109,19 +109,20 @@ def test_threaded_batches_during_growth(policy):
 
 @pytest.mark.parametrize("policy", ["lru", "pintop"])
 def test_snapshot_point_queries_during_growth(policy):
-    """``find_all_at`` / ``contains_at`` — the single-pattern path
+    """``search.find_all`` / ``search.contains`` with a snapshot
+    ``limit`` — the single-pattern path
     ``QueryService`` takes through ``SnapshotGuard`` — must hold the
     disk index's read lock, or a reader evicts pages an ``extend`` is
     still mutating."""
     def query(disk, local, k, want):
         pattern = local.choice(PATTERNS)
-        got = find_all_at(disk, pattern, k)
-        present = contains_at(disk, pattern, k)
+        got = search.find_all(disk, pattern, k)
+        present = search.contains(disk, pattern, k)
         if got != want[pattern] or present != bool(want[pattern]):
             return pattern, got, present
         return None
 
     with _grow_under_readers(policy, query) as (text, disk):
         for pattern in PATTERNS:
-            assert find_all_at(disk, pattern, len(text)) == \
+            assert search.find_all(disk, pattern, len(text)) == \
                 brute_occurrences(text, pattern)
