@@ -2,8 +2,8 @@
 
 Standalone snapshot script comparing ``repro.core.batch.batch_find_all``
 (one shared downstream Link-Table scan for the whole workload) against
-the looped per-pattern ``find_all`` baseline, on the in-memory and disk
-layers::
+the looped per-pattern ``find_all`` baseline, on the in-memory, packed
+and disk layers::
 
     PYTHONPATH=src python benchmarks/bench_batch.py -o benchmarks
 
@@ -26,6 +26,7 @@ import time
 from repro import obs
 from repro.core.batch import batch_find_all
 from repro.core.index import SpineIndex
+from repro.core.packed import PackedSpineIndex
 from repro.disk.spine_disk import DiskSpineIndex
 from repro.obs.report import build_report
 from repro.sequences import generate_dna
@@ -55,8 +56,7 @@ def _make_workload(text, patterns, pattern_length, seed):
 
 def _counters(layer, workload):
     """Scan-node counters for both strategies on ``layer``."""
-    prefix = "disk.search" if isinstance(layer, DiskSpineIndex) \
-        else "search"
+    prefix = layer.NAME_PREFIX + "search"
     with obs.metrics_enabled() as registry:
         batch_find_all(layer, workload)
         batched = registry.snapshot()["counters"]
@@ -89,6 +89,22 @@ def _disk_page_traffic(disk, workload):
     return {"batched": batched, "looped": looped}
 
 
+def _in_memory_layer(layer, workload, repeats, threads):
+    result = {
+        "batched_seconds": _best_seconds(
+            lambda: batch_find_all(layer, workload), repeats),
+        "batched_threaded_seconds": _best_seconds(
+            lambda: batch_find_all(layer, workload, threads=threads),
+            repeats),
+        "looped_seconds": _best_seconds(
+            lambda: [layer.find_all(p) for p in workload], repeats),
+    }
+    result["speedup"] = result["looped_seconds"] / \
+        result["batched_seconds"]
+    result["counters"] = _counters(layer, workload)
+    return result
+
+
 def collect_snapshot(scale=20_000, patterns=64, pattern_length=8,
                      repeats=3, disk_chars=4_000, buffer_pages=16,
                      threads=4, seed=11, label=None):
@@ -96,18 +112,9 @@ def collect_snapshot(scale=20_000, patterns=64, pattern_length=8,
     workload = _make_workload(text, patterns, pattern_length, seed + 1)
 
     index = SpineIndex(text)
-    memory = {
-        "batched_seconds": _best_seconds(
-            lambda: batch_find_all(index, workload), repeats),
-        "batched_threaded_seconds": _best_seconds(
-            lambda: batch_find_all(index, workload, threads=threads),
-            repeats),
-        "looped_seconds": _best_seconds(
-            lambda: [index.find_all(p) for p in workload], repeats),
-    }
-    memory["speedup"] = memory["looped_seconds"] / \
-        memory["batched_seconds"]
-    memory["counters"] = _counters(index, workload)
+    memory = _in_memory_layer(index, workload, repeats, threads)
+    packed = _in_memory_layer(PackedSpineIndex.from_index(index),
+                              workload, repeats, threads)
 
     disk = DiskSpineIndex(alphabet=index.alphabet,
                           buffer_pages=buffer_pages)
@@ -142,6 +149,7 @@ def collect_snapshot(scale=20_000, patterns=64, pattern_length=8,
         "seed": seed,
     })
     report["memory"] = memory
+    report["packed"] = packed
     report["disk"] = disk_result
     return report
 
@@ -175,6 +183,7 @@ def main(argv=None):
         handle.write("\n")
     print(f"wrote {path} "
           f"(memory speedup {report['memory']['speedup']:.2f}x, "
+          f"packed speedup {report['packed']['speedup']:.2f}x, "
           f"disk speedup {report['disk']['speedup']:.2f}x)")
     return 0
 

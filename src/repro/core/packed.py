@@ -24,6 +24,19 @@ The packed form is immutable and implements the same layer protocol as
 the reference index, so the one query engine answers on it; equivalence
 is asserted property-style in the tests. It is also the unit the
 disk-resident implementation pages over (:mod:`repro.disk`).
+
+The link scan (:meth:`PackedSpineIndex.iter_link_entries`, Section 4)
+is vectorized. Node ``j`` ends an occurrence iff its LEL reaches the
+pattern length and its link destination is already a target, and links
+point upstream, so the occurrences form a subtree of the link tree
+under the first match. The scan selects the candidates ``C`` (LEL at
+or above the floor) and gathers their destinations in array passes,
+then finds the candidates whose link chain through ``C`` reaches a
+target by pointer doubling — each round ORs in the flag of the entry
+a chain pointer names and doubles the pointer, O(|C| log depth) in
+all. Python then visits only those entries, re-testing each one
+against the targets the caller has grown, so the yielded sequence is
+the per-entry scan's.
 """
 
 from __future__ import annotations
@@ -44,15 +57,33 @@ _PTR_CLASS_SHIFT = 26
 _PTR_ROW_MASK = (1 << _PTR_CLASS_SHIFT) - 1
 
 
+def _member_mask(values, targets):
+    """Boolean mask of ``values`` (int array) that are keys of
+    ``targets``, in O(len(values) + min(len(targets), len(values))):
+    one array test against the keys when ``targets`` is the smaller
+    side, else one hash probe per value — so a windowed sweep whose
+    target set has grown to the whole answer does not re-read it
+    every window."""
+    if len(targets) <= values.size:
+        keys = np.fromiter(targets, dtype=np.int64, count=len(targets))
+        return np.isin(values, keys)
+    return np.fromiter((v in targets for v in values.tolist()),
+                       dtype=bool, count=values.size)
+
+
 class RibTable:
     """One fanout class of the optimized layout (RT_k of Figure 5)."""
 
     def __init__(self, fanout, rows):
         self.fanout = fanout
-        self.ld = np.zeros(rows, dtype=np.int64)
+        self.ld = np.zeros(rows, dtype=np.int32)
         self.codes = np.full((rows, fanout), 255, dtype=np.uint8)
-        self.dests = np.zeros((rows, fanout), dtype=np.int64)
+        self.dests = np.zeros((rows, fanout), dtype=np.int32)
         self.pts = np.zeros((rows, fanout), dtype=np.uint32)
+        # Extrib chain of each rib slot: ``ext_len`` elements from
+        # ``ext_off`` in the index's flat ext arrays (length 0: none).
+        self.ext_off = np.zeros((rows, fanout), dtype=np.int32)
+        self.ext_len = np.zeros((rows, fanout), dtype=np.int32)
 
     @property
     def rows(self):
@@ -81,12 +112,10 @@ class PackedSpineIndex:
         self._lel_overflow = {}     # node -> true LEL
         self._pt_overflow = {}      # (class, row, slot) -> true PT
         self._tables = {}           # fanout class -> RibTable
-        # extrib chains: (class, row, slot) -> (offset, length) into the
-        # flat ext arrays; elements of one chain are contiguous with
-        # ascending thresholds.
-        self._chains = {}
-        self._ext_dest = None       # int64
-        self._ext_pt = None         # uint32 (full width; counted as 2B +
+        # Flat extrib region: the elements of one chain are contiguous,
+        # thresholds ascending (located by RibTable.ext_off/ext_len).
+        self._ext_dest = None       # int32 node ids
+        self._ext_pt = None         # int32 (full width; counted as 2B +
         #                             overflow in the space model)
 
     # ------------------------------------------------------------------
@@ -99,6 +128,10 @@ class PackedSpineIndex:
         packed = cls()
         packed.alphabet = index.alphabet
         n = len(index)
+        # Node ids must fit the RT pointer's row field (and so the int32
+        # node-id columns).
+        if (1 << _PTR_CLASS_SHIFT) <= n:
+            raise ConstructionError("string too long for RT pointers")
         asize = index._asize
         packed._n = n
         packed._asize = asize
@@ -139,17 +172,14 @@ class PackedSpineIndex:
                     table.pts[row, slot] = pt
                     chain = index._extchains.get(node * asize + code)
                     if chain:
-                        offset = len(ext_dest)
+                        table.ext_off[row, slot] = len(ext_dest)
+                        table.ext_len[row, slot] = len(chain)
                         for e_dest, e_pt in chain:
                             ext_dest.append(e_dest)
                             ext_pt.append(e_pt)
-                        packed._chains[(fanout, row, slot)] = (
-                            offset, len(chain))
         packed._lt_ref = lt_ref
-        packed._ext_dest = np.array(ext_dest, dtype=np.int64)
-        packed._ext_pt = np.array(ext_pt, dtype=np.int64)
-        if n and (1 << _PTR_CLASS_SHIFT) <= n:
-            raise ConstructionError("string too long for RT pointers")
+        packed._ext_dest = np.array(ext_dest, dtype=np.int32)
+        packed._ext_pt = np.array(ext_pt, dtype=np.int32)
         return packed
 
     # ------------------------------------------------------------------
@@ -192,11 +222,18 @@ class PackedSpineIndex:
         """Yield ``(j, dest, LEL)`` for nodes ``lo < j <= hi`` with
         ``LEL >= min_lel`` and ``dest`` in ``targets`` (the shared
         downstream-scan primitive; ``targets`` may grow between
-        yields).
+        yields, but only by nodes this generator has yielded).
 
-        Candidate selection is vectorized over the stored LEL column —
-        entries at the overflow sentinel qualify for any floor and are
-        resolved through the overflow table before being yielded.
+        Candidates ``C`` are the entries whose stored LEL reaches the
+        floor (entries at the overflow sentinel qualify for any floor
+        and are resolved through the overflow table before being
+        yielded). Their destinations are gathered in one pass, and
+        pointer doubling over the links inside ``C`` keeps only the
+        candidates whose link chain reaches a current target — a
+        superset of the entries a growing ``targets`` can accept.
+        Python then re-tests ``dest in targets`` over that superset
+        alone, in ascending order, so the yielded sequence equals a
+        per-entry scan of ``C``.
         """
         n = min(hi, self._n)
         if lo >= n:
@@ -204,25 +241,42 @@ class PackedSpineIndex:
         threshold = min(min_lel, OVERFLOW_SENTINEL)
         # Scan only the requested (lo, n] slice so windowed sweeps
         # (cancellation chunking) stay linear in the total range.
-        candidates = np.nonzero(
-            self._lt_lel[lo + 1:n + 1] >= threshold)[0] + (lo + 1)
-        lt_ref = self._lt_ref
+        cand = (self._lt_lel[lo + 1:n + 1] >= threshold).nonzero()[0]
+        if not cand.size:
+            return
+        cand += lo + 1
+        dest = self._lt_ref[cand]
+        displaced = dest < 0
+        ptr = -dest[displaced] - 1
+        fanout = ptr >> _PTR_CLASS_SHIFT
+        row = ptr & _PTR_ROW_MASK
+        for f, table in self._tables.items():
+            sel = fanout == f
+            ptr[sel] = table.ld[row[sel]]
+        dest[displaced] = ptr
+        reach = _member_mask(dest, targets)
+        # parent[i]: position in C of dest(C[i]), or -1. Links point
+        # upstream, so parent[i] < i and every chain ends.
+        parent = cand.searchsorted(dest)
+        parent[cand[parent] != dest] = -1
+        live = ((parent >= 0) & ~reach).nonzero()[0]
+        while live.size:
+            up = parent[live]
+            reach[live] |= reach[up]
+            parent[live] = parent[up]
+            live = live[(parent[live] >= 0) & ~reach[live]]
+        hits = reach.nonzero()[0]
+        cand = cand[hits]
         lt_lel = self._lt_lel
-        for j in candidates.tolist():
-            ref = int(lt_ref[j])
-            if ref >= 0:
-                dest = ref
-            else:
-                fanout, row = self._decode_ptr(ref)
-                dest = int(self._tables[fanout].ld[row])
-            if dest not in targets:
+        for j, d, lel in zip(cand.tolist(), dest[hits].tolist(),
+                             lt_lel[cand].tolist()):
+            if d not in targets:
                 continue
-            lel = int(lt_lel[j])
             if lel == OVERFLOW_SENTINEL:
                 lel = self._lel_overflow.get(j, lel)
                 if lel < min_lel:
                     continue
-            yield j, dest, lel
+            yield j, d, lel
 
     def ribs_at(self, node):
         """Dict ``code -> (dest, PT)`` at ``node`` (mirrors reference)."""
@@ -258,10 +312,8 @@ class PackedSpineIndex:
         for slot in range(fanout):
             if int(table.codes[row, slot]) != code:
                 continue
-            span = self._chains.get((fanout, row, slot))
-            if span is None:
-                return []
-            offset, length = span
+            offset = int(table.ext_off[row, slot])
+            length = int(table.ext_len[row, slot])
             return [(int(self._ext_dest[k]), int(self._ext_pt[k]))
                     for k in range(offset, offset + length)]
         return []
@@ -302,8 +354,8 @@ class PackedSpineIndex:
             if _span is not None:
                 _span.event("pt-reject", node=node, pt=pt,
                             pathlength=pathlength)
-            offset, length = self._chains.get((fanout, row, slot),
-                                              (0, 0))
+            offset = int(table.ext_off[row, slot])
+            length = int(table.ext_len[row, slot])
             ext_pt = self._ext_pt
             for k in range(offset, offset + length):
                 e_pt = int(ext_pt[k])

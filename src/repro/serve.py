@@ -282,11 +282,14 @@ class QueryService:
         token = self._token(deadline, "find_all")
         if degraded is None:
             degraded = self.degraded
+        # The slow-log clock starts before admission, so time spent
+        # queued for a slot counts towards the logged latency.
+        started = time.perf_counter()
         admitted = (self.admission.admit(token)
                     if self.admission is not None else None)
+        admission_wait_s = time.perf_counter() - started
         self._enter()
         slow_log = get_slow_log()
-        started = time.perf_counter()
         try:
             starts = self.snapshot().find_all(pattern, cancel=token,
                                               degraded=degraded)
@@ -294,6 +297,7 @@ class QueryService:
             if slow_log.enabled:
                 slow_log.observe(
                     "find_all", time.perf_counter() - started,
+                    admission_wait_s=admission_wait_s,
                     pattern_chars=len(pattern), timed_out=True,
                     layer=type(self.index).__name__)
             raise
@@ -305,6 +309,7 @@ class QueryService:
             incomplete = getattr(starts, "complete", True) is False
             slow_log.observe(
                 "find_all", time.perf_counter() - started,
+                admission_wait_s=admission_wait_s,
                 pattern_chars=len(pattern), occurrences=len(starts),
                 degraded=incomplete,
                 layer=type(self.index).__name__)
@@ -325,11 +330,12 @@ class QueryService:
         token = self._token(deadline, "batch_find_all")
         if degraded is None:
             degraded = self.degraded
+        started = time.perf_counter()
         admitted = (self.admission.admit(token)
                     if self.admission is not None else None)
+        admission_wait_s = time.perf_counter() - started
         self._enter()
         slow_log = get_slow_log()
-        started = time.perf_counter()
         try:
             results = self.snapshot().batch_find_all(
                 patterns, threads=self.threads,
@@ -339,6 +345,7 @@ class QueryService:
             if slow_log.enabled:
                 slow_log.observe(
                     "batch_find_all", time.perf_counter() - started,
+                    admission_wait_s=admission_wait_s,
                     timed_out=True, layer=type(self.index).__name__)
             raise
         except ServiceClosedError:
@@ -358,6 +365,7 @@ class QueryService:
                 for m in results)
             slow_log.observe(
                 "batch_find_all", time.perf_counter() - started,
+                admission_wait_s=admission_wait_s,
                 patterns=len(results),
                 pattern_chars=sum(len(m.pattern) for m in results),
                 occurrences=sum(len(m.starts) for m in results),

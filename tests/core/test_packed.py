@@ -1,6 +1,7 @@
 """Packed (Section 5) layout: equivalence with the reference index and
 space accounting."""
 
+import numpy as np
 import pytest
 
 from repro.alphabet import Alphabet, dna_alphabet, protein_alphabet
@@ -79,6 +80,22 @@ class TestSpaceModel:
                  + mb["rib_tables"] + mb["extrib_region"]
                  + mb["overflow_table"])
         assert parts == mb["total"]
+
+    def test_model_ignores_storage_dtypes(self, pair):
+        # Node-id columns are stored as int32, but the space model
+        # charges the paper's field widths: the same figures as when
+        # they were int64.
+        _, packed = pair
+        for table in packed._tables.values():
+            assert table.ld.dtype == np.int32
+            assert table.dests.dtype == np.int32
+        assert packed._ext_dest.dtype == np.int32
+        assert packed._ext_pt.dtype == np.int32
+        assert packed.measured_bytes() == {
+            "link_table": 120006, "character_labels": 5000,
+            "rib_tables": 85322, "extrib_region": 20096,
+            "overflow_table": 0, "total": 230424,
+            "bytes_per_char": 11.5212, "rib_slots": 9417}
 
     def test_protein_packs_too(self):
         text = generate_protein(2500, seed=3)

@@ -2,12 +2,14 @@
 
 import random
 import threading
+import time
 
 import pytest
 
 from repro import (QueryService, ServiceClosedError, SnapshotGuard,
                    SpineIndex)
 from repro.core import find_all
+from repro.obs.slowlog import slow_log_enabled
 
 from tests.conftest import brute_occurrences
 
@@ -103,6 +105,33 @@ class TestQueryService:
         for t in workers:
             t.join(timeout=30)
         assert not errors
+
+    @pytest.mark.parametrize("op", ["find_all", "batch_find_all"])
+    def test_slow_log_latency_includes_admission_wait(self, op):
+        index = SpineIndex("aaccacaaca" * 20)
+        hold_s = 0.2
+        with slow_log_enabled(threshold=0.0) as log, \
+                QueryService(index, threads=1, max_concurrent=1,
+                             max_queue=1) as svc:
+            slot = svc.admission.admit()
+            releaser = threading.Thread(
+                target=lambda: (time.sleep(hold_s), slot.__exit__()))
+            releaser.start()
+            try:
+                if op == "find_all":
+                    svc.find_all("acca")
+                else:
+                    svc.batch_find_all(["acca", "ca"])
+            finally:
+                releaser.join(timeout=5.0)
+            assert not releaser.is_alive()
+            records = [r for r in log.records() if r["op"] == op]
+        assert len(records) == 1
+        record = records[0]
+        # The queued call waited for the held slot, and its logged
+        # latency covers that wait plus the query itself.
+        assert record["admission_wait_s"] >= hold_s / 2
+        assert record["seconds"] >= record["admission_wait_s"] > 0
 
 
 class TestGuardExecutorPrecedence:
