@@ -19,6 +19,13 @@ index is built and checkpointed, then ``extends`` chunks of
 * ``always`` — fsync per append: full acknowledged-write durability,
   and the one figure dominated by the disk, not by Python.
 
+Each configuration also records the extend loop's page traffic from
+``pagefile.metrics``: buffer-pool lookups per appended character and
+physical page reads and writes per 1000 characters. These counts are
+hardware-free (identical on every machine and under every fsync
+policy), so they put construction I/O on the snapshot trajectory next
+to the throughput.
+
 The per-policy ``slowdown`` ratio (vs. ``disabled``) is the headline.
 ``always`` is expected to be much slower on real disks — that is the
 price of the durability contract, not a regression; ``off`` should be
@@ -54,9 +61,24 @@ CONFIGURATIONS = (
 )
 
 
+def _page_traffic(before, after, chars):
+    """Pool lookups per char and physical reads/writes per 1k chars
+    between two ``IOMetrics`` snapshots."""
+    lookups = (after["buffer_hits"] + after["buffer_misses"]
+               - before["buffer_hits"] - before["buffer_misses"])
+    return {
+        "pool_lookups_per_char": lookups / chars,
+        "reads_per_kchar": 1000 * (after["reads"] - before["reads"])
+        / chars,
+        "writes_per_kchar": 1000 * (after["writes"] - before["writes"])
+        / chars,
+    }
+
+
 def _time_extends(workdir, base, chunks, policy, interval,
                   buffer_pages):
-    """Build a fresh checkpointed index and time the extend loop."""
+    """Build a fresh checkpointed index and time the extend loop;
+    returns ``(seconds, wal_bytes, page_traffic)``."""
     path = os.path.join(workdir, "bench.spine")
     index = DiskSpineIndex(alphabet=dna_alphabet(), path=path,
                            buffer_pages=buffer_pages,
@@ -65,10 +87,13 @@ def _time_extends(workdir, base, chunks, policy, interval,
     try:
         index.extend(base)
         index.checkpoint()
+        before = index.pagefile.metrics.snapshot()
         started = time.perf_counter()
         for chunk in chunks:
             index.extend(chunk)
         elapsed = time.perf_counter() - started
+        pages = _page_traffic(before, index.pagefile.metrics.snapshot(),
+                              sum(map(len, chunks)))
         wal_bytes = (os.path.getsize(wal_path_for(path))
                      if index.wal is not None else 0)
     finally:
@@ -76,7 +101,7 @@ def _time_extends(workdir, base, chunks, policy, interval,
         for leftover in (path, wal_path_for(path)):
             if os.path.exists(leftover):
                 os.unlink(leftover)
-    return elapsed, wal_bytes
+    return elapsed, wal_bytes, pages
 
 
 def collect_snapshot(base_chars=4000, extends=64, chunk_chars=64,
@@ -93,7 +118,7 @@ def collect_snapshot(base_chars=4000, extends=64, chunk_chars=64,
             best = None
             wal_bytes = 0
             for _ in range(repeats):
-                elapsed, wal_bytes = _time_extends(
+                elapsed, wal_bytes, pages = _time_extends(
                     workdir, base, chunks, policy, interval,
                     buffer_pages)
                 best = elapsed if best is None else min(best, elapsed)
@@ -105,6 +130,7 @@ def collect_snapshot(base_chars=4000, extends=64, chunk_chars=64,
                 "extends_per_sec": (extends / best
                                     if best > 0 else None),
                 "wal_bytes": wal_bytes,
+                **pages,
             }
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
@@ -158,7 +184,10 @@ def main(argv=None):
         data = report["wal"][name]
         print(f"  {name:8s}: {data['extends_per_sec']:,.0f} extends/s "
               f"({data['chars_per_sec']:,.0f} chars/s, "
-              f"{data['slowdown']:.2f}x baseline)")
+              f"{data['slowdown']:.2f}x baseline; "
+              f"{data['pool_lookups_per_char']:.2f} lookups/char, "
+              f"{data['reads_per_kchar']:.0f} reads and "
+              f"{data['writes_per_kchar']:.0f} writes per 1k chars)")
     return 0
 
 

@@ -221,6 +221,33 @@ class _Region:
         copied to a fresh page id — before the mutation, so a crash can
         always roll back to that checkpoint (see :class:`_PageLedger`).
         """
+        page_id, frame, slot = self._writable(index)
+        self.record.pack_into(frame, slot * self.record.size, *values)
+        self.pool.mark_dirty(page_id)
+
+    def write_packed(self, start, raw):
+        """Store the already-packed records ``raw`` at ``start``,
+        ``start + 1``, ... with one pool lookup per page slice (same
+        copy-on-write shadowing as :meth:`write`)."""
+        size = self.record.size
+        per_page = self.per_page
+        stop = start + len(raw) // size
+        index = start
+        pos = 0
+        while index < stop:
+            page_id, frame, slot = self._writable(index)
+            take = min(stop - index, per_page - slot)
+            lo = slot * size
+            frame[lo:lo + take * size] = raw[pos:pos + take * size]
+            self.pool.mark_dirty(page_id)
+            index += take
+            pos += take * size
+        if stop > self.count:
+            self.count = stop
+
+    def _writable(self, index):
+        """``(page_id, frame, slot)`` of record ``index``, allocating
+        its page or shadowing a committed one first."""
         fresh = self.ensure(index)
         page_no, slot = divmod(index, self.per_page)
         page_id = self.pages[page_no]
@@ -229,12 +256,9 @@ class _Region:
                 and page_id in ledger.committed):
             page_id = ledger.shadow(page_id)
             self.pages[page_no] = page_id
-            frame = self.pool.get(page_id)
-        else:
-            # A freshly allocated page has no on-disk contents to load.
-            frame = self.pool.get(page_id, load=not fresh)
-        self.record.pack_into(frame, slot * self.record.size, *values)
-        self.pool.mark_dirty(page_id)
+            return page_id, self.pool.get(page_id), slot
+        # A freshly allocated page has no on-disk contents to load.
+        return page_id, self.pool.get(page_id, load=not fresh), slot
 
 
 class DiskSpineIndex:
@@ -325,6 +349,9 @@ class DiskSpineIndex:
         self._rt_free = {k: [] for k in self._rt}
         self._ext = _Region(self.pagefile, self.pool, _EXT, ledger)
         self._n = 0
+        #: The tail's link ``(dest, LEL)``; ``None`` until first read
+        #: from ``LT[n]`` (after :meth:`open`).
+        self._tail = None
         self._rib_count = 0
         #: Last durable checkpoint generation (0 = never checkpointed).
         self._generation = 0
@@ -682,8 +709,7 @@ class DiskSpineIndex:
                         or record.lsn != self._n + len(record.payload)):
                     cut_at = record.offset
                     break
-                for c in record.payload:
-                    self._append_code(c)
+                self._append_codes(record.payload, log=False)
                 replayed_records += 1
                 replayed_chars += len(record.payload)
                 kept_records += 1
@@ -702,8 +728,15 @@ class DiskSpineIndex:
     @classmethod
     def _read_meta_slot(cls, pagefile, slot):
         """``(generation, blob, chain_pages)`` of one v3 metadata slot;
-        raises :class:`StorageError` when any byte fails validation."""
-        frame = pagefile.read_page(slot)
+        raises :class:`StorageError` when any byte fails validation.
+
+        An all-zero head page is a slot no checkpoint has written yet
+        (after the first checkpoint only slot 1 holds a generation); it
+        is rejected without being counted as a corrupt page."""
+        frame = pagefile.read_page(slot, verify=False)
+        if not any(frame):
+            raise StorageError("never written")
+        pagefile.check_page(slot, frame)
         magic, version, _flags, blob_len, gen, blob_crc = \
             _META_V3.unpack_from(frame)
         if magic != cls.META_MAGIC:
@@ -819,6 +852,7 @@ class DiskSpineIndex:
             }
             index._rt_free = {k: [] for k in index._rt}
         index._n = n
+        index._tail = None
         index._rib_count = rib_count
         for _, region in index._regions():
             count, npages = struct.unpack_from("<qi", blob, offset)
@@ -856,12 +890,8 @@ class DiskSpineIndex:
         before = len(self._lt.pages)
         ref = dest if rt_ptr == -1 else -rt_ptr - 1
         self._lt.write(node, ref, lel)
-        if self.policy_name == "pintop" and len(self._lt.pages) > before:
-            # Protect the tiny CL region and the top of the LT.
-            for page_id in self._cl.pages:
-                self._protected.add(page_id)
-            for page_id in self._lt.pages[:self._pintop_pages]:
-                self._protected.add(page_id)
+        if len(self._lt.pages) > before:
+            self._refresh_pintop_protection()
 
     def _lt_read(self, node):
         """``(link_dest, lel, rt_ptr)`` with the displaced destination
@@ -892,10 +922,6 @@ class DiskSpineIndex:
                  for i in range(fanout)]
         return ld, slots
 
-    def _write_row(self, fanout, row, ld, slots):
-        flat = [ld] + [value for slot in slots for value in slot]
-        self._rt[fanout].write(row, *flat)
-
     def _alloc_row(self, fanout):
         free = self._rt_free[fanout]
         if free:
@@ -917,23 +943,24 @@ class DiskSpineIndex:
                 return fanout, row, idx, dest, pt, chead
         return None
 
-    def _add_rib(self, node, node_dest, node_lel, rt_ptr, code, dest, pt):
-        """Plant a rib at ``node``, migrating its row to the next RT
-        class when it already has ribs (the paper's RT movement)."""
+    def _add_rib(self, node, node_dest, node_lel, rt_ptr, flat, code,
+                 dest, pt):
+        """Plant a rib at ``node``, migrating its already decoded row
+        ``flat`` to the next RT class when it has ribs (the paper's RT
+        movement)."""
         self._rib_count += 1
         if rt_ptr == -1:
+            fanout = 1
             row = self._alloc_row(1)
-            self._write_row(1, row, node_dest, [(code, dest, pt, -1)])
-            new_ptr = self._encode_ptr(1, row)
+            self._rt[1].write(row, node_dest, code, dest, pt, -1)
         else:
             fanout, row = self._decode_ptr(rt_ptr)
-            ld, slots = self._row_slots(fanout, row)
-            slots.append((code, dest, pt, -1))
             self._rt_free[fanout].append(row)
-            new_row = self._alloc_row(fanout + 1)
-            self._write_row(fanout + 1, new_row, ld, slots)
-            new_ptr = self._encode_ptr(fanout + 1, new_row)
-        self._lt_write(node, node_dest, node_lel, new_ptr)
+            fanout += 1
+            row = self._alloc_row(fanout)
+            self._rt[fanout].write(row, *flat, code, dest, pt, -1)
+        self._lt_write(node, node_dest, node_lel,
+                       self._encode_ptr(fanout, row))
 
     # ------------------------------------------------------------------
     # construction (mirrors SpineIndex.append_code through the pool)
@@ -942,6 +969,9 @@ class DiskSpineIndex:
     def extend(self, text):
         """Append ``text`` (online); one bulk metrics publish per call
         when the global registry is enabled.
+
+        A character outside the alphabet rejects the whole call before
+        any page or log record changes.
 
         Holds the pool's write lock for the whole call: concurrent
         queries (which enter under the read side) wait and then observe
@@ -953,20 +983,9 @@ class DiskSpineIndex:
         observing = registry.enabled
         if observing:
             started = time.perf_counter()
-        encode = self.alphabet.encode_char
+        codes = bytes(self.alphabet.encode(text))
         with self.pool.rwlock.write_locked():
-            if self._wal is not None and text:
-                # Write-ahead: the whole extend is framed and (policy
-                # permitting) fsynced before any page mutates, so a
-                # crash at any later point replays it on reopen.
-                codes = bytes(encode(ch) for ch in text)
-                self._wal.append(codes, self._generation,
-                                 self._n + len(codes))
-                for c in codes:
-                    self._append_code(c)
-            else:
-                for ch in text:
-                    self._append_code(encode(ch))
+            self._append_codes(codes)
         if observing:
             registry.counter("disk.construction.chars").inc(len(text))
             registry.timer("disk.construction.extend.seconds").observe(
@@ -974,76 +993,118 @@ class DiskSpineIndex:
 
     def append_code(self, c):
         """Append one character code (the paper's APPEND, on disk)."""
-        with self.pool.rwlock.write_locked():
-            if self._wal is not None:
-                if not 0 <= c < self._asize:
-                    raise ConstructionError(f"code {c} out of range")
-                self._wal.append(bytes((c,)), self._generation,
-                                 self._n + 1)
-            self._append_code(c)
-
-    def _append_code(self, c):
         if not 0 <= c < self._asize:
             raise ConstructionError(f"code {c} out of range")
-        n = self._n
-        new = n + 1
-        self._n = new
-        self._cl.write(new, c)
-        if n == 0:
-            self._lt_write(new, 0, 0)
+        with self.pool.rwlock.write_locked():
+            self._append_codes(bytes((c,)))
+
+    def _append_codes(self, codes, log=True):
+        """Append the codes ``codes`` (bytes): range-check them all,
+        log them, then per CL page store their labels with one write
+        and walk the link chain once per code.
+
+        ``log=False`` is WAL replay (the codes are already logged).
+        """
+        if not codes:
             return
-        v, lel, _ = self._lt_read(n)
+        if max(codes) >= self._asize:
+            raise ConstructionError(f"code {max(codes)} out of range")
+        if log and self._wal is not None:
+            # Write-ahead: the whole extend is framed and (policy
+            # permitting) fsynced before any page mutates, so a crash
+            # at any later point replays it on reopen.
+            self._wal.append(codes, self._generation,
+                             self._n + len(codes))
+        cl = self._cl
+        pos = 0
+        while pos < len(codes):
+            # One CL page slice at a time: store its labels with one
+            # write, then walk them, so a long extend never loads CL
+            # pages ahead of the construction frontier.
+            start = self._n + 1
+            piece = codes[pos:pos + cl.per_page - start % cl.per_page]
+            pos += len(piece)
+            before = len(cl.pages)
+            cl.write_packed(start, piece)
+            if len(cl.pages) > before:
+                self._refresh_pintop_protection()
+            for c in piece:
+                n = self._n
+                if n == 0:
+                    link = (0, 0)
+                else:
+                    link = self._walk_chain(n + 1, c)
+                self._lt_write(n + 1, *link)
+                self._tail = link
+                self._n = n + 1
+
+    def _walk_chain(self, new, c):
+        """Figure 4's walk for node ``new`` with label ``c`` (already
+        stored in CL): follow the old tail's link chain, planting ribs
+        and extribs, and return the new node's link ``(dest, LEL)``.
+
+        Each chain node costs the label test ``CL[v+1] == c`` first,
+        then its LT entry and at most one RT row read."""
+        if self._tail is None:
+            self._tail = self._lt_read(new - 1)[:2]
+        v, lel = self._tail
+        cl_read = self._cl.read
+        lt_read = self._lt.read
+        rt = self._rt
         while True:
-            v_dest, v_lel, v_ptr = self._lt_read(v)
-            if self._cl.read(v + 1)[0] == c:
+            if cl_read(v + 1)[0] == c:
                 # CASE 1: vertebra.
-                self._lt_write(new, v + 1, lel + 1)
-                return
-            hit = self._find_slot(v_ptr, c)
-            if hit is not None:
-                fanout, row, idx, d, pt, chead = hit
-                if pt >= lel:
-                    # CASE 2: rib passes the threshold test.
-                    self._lt_write(new, d, lel + 1)
-                    return
-                # CASE 4: extend through the extrib chain.
-                self._handle_extribs(fanout, row, idx, d, pt, chead,
-                                     lel, new)
-                return
+                return v + 1, lel + 1
+            ref, v_lel = lt_read(v)
+            if ref >= 0:
+                v_dest, v_ptr, flat = ref, -1, None
+            else:
+                v_ptr = -ref - 1
+                fanout, row = self._decode_ptr(v_ptr)
+                flat = rt[fanout].read(row)
+                v_dest = flat[0]
+                for i in range(1, len(flat), _SLOT_INTS):
+                    if flat[i] != c:
+                        continue
+                    d, pt, chead = flat[i + 1:i + 4]
+                    if pt >= lel:
+                        # CASE 2: rib passes the threshold test.
+                        return d, lel + 1
+                    # CASE 4: extend through the extrib chain.
+                    return self._handle_extribs(fanout, row, flat, i, d,
+                                                pt, chead, lel, new)
             # CASE 3: plant a rib at v.
-            self._add_rib(v, v_dest, v_lel, v_ptr, c, new, lel)
+            self._add_rib(v, v_dest, v_lel, v_ptr, flat, c, new, lel)
             if v == 0:
-                self._lt_write(new, 0, 0)
-                return
+                return 0, 0
             lel = v_lel
             v = v_dest
 
-    def _handle_extribs(self, fanout, row, idx, d, rib_pt, chead,
+    def _handle_extribs(self, fanout, row, flat, i, d, rib_pt, chead,
                         lel, new):
+        """CASE 4: walk the rib's extrib chain (slot ``i`` of the
+        decoded row ``flat``); returns the new node's link."""
+        ext = self._ext
         last_dest, last_pt = d, rib_pt
         last_eid = -1
         eid = chead
         while eid != -1:
-            e_dest, e_pt, e_next = self._ext.read(eid)
+            e_dest, e_pt, e_next = ext.read(eid)
             if e_pt >= lel:
-                self._lt_write(new, e_dest, lel + 1)
-                return
+                return e_dest, lel + 1
             last_dest, last_pt = e_dest, e_pt
             last_eid = eid
             eid = e_next
         # Append a fresh extrib at the chain's end.
-        new_eid = self._ext.count
-        self._ext.write(new_eid, new, lel, -1)
+        new_eid = ext.count
+        ext.write(new_eid, new, lel, -1)
         if last_eid == -1:
             # First element: hook the chain head into the rib slot.
-            ld, slots = self._row_slots(fanout, row)
-            code, dest, pt, _ = slots[idx]
-            slots[idx] = (code, dest, pt, new_eid)
-            self._write_row(fanout, row, ld, slots)
+            self._rt[fanout].write(
+                row, *flat[:i + 3], new_eid, *flat[i + 4:])
         else:
-            t_dest, t_pt, _ = self._ext.read(last_eid)
-            self._ext.write(last_eid, t_dest, t_pt, new_eid)
-        self._lt_write(new, last_dest, last_pt + 1)
+            ext.write(last_eid, last_dest, last_pt, new_eid)
+        return last_dest, last_pt + 1
 
     def flush(self):
         """Write back all dirty pages."""

@@ -112,8 +112,10 @@ class LRUPolicy:
 
     def touch(self, page_id):
         """Mark ``page_id`` most recently used."""
-        self._order.pop(page_id, None)
-        self._order[page_id] = True
+        try:
+            self._order.move_to_end(page_id)
+        except KeyError:
+            self._order[page_id] = True
 
     def evict(self):
         if not self._order:

@@ -163,7 +163,7 @@ class PageFile:
             buf = bytearray(self.page_size)
             buf[:len(data)] = data
             if verify and self.checksums:
-                self._verify(page_id, buf)
+                self.check_page(page_id, buf)
             return buf
 
         def _on_retry(attempt, exc):
@@ -281,7 +281,11 @@ class PageFile:
         payload = bytes(buf[:trailer_off])
         return self._crc(page_id, payload, stored_gen) == stored_crc
 
-    def _verify(self, page_id, buf):
+    def check_page(self, page_id, buf):
+        """Raise :class:`~repro.exceptions.CorruptPageError` unless
+        ``buf`` carries a valid trailer; a failure is counted in
+        ``checksum_failures``, the ``storage.corruption.pages`` metric
+        and a ``corrupt-page`` trace event."""
         if self.verify_page(page_id, buf):
             return
         trailer_off = self.page_size - _TRAILER.size

@@ -1,6 +1,7 @@
 """Disk-resident SPINE: equivalence with the in-memory index plus
 I/O behaviour."""
 
+import os
 import random
 
 import pytest
@@ -9,8 +10,8 @@ from repro.alphabet import Alphabet, dna_alphabet, protein_alphabet
 from repro.core import SpineIndex
 from repro.core.matching import matching_statistics, maximal_matches
 from repro.disk import DiskSpineIndex
-from repro.exceptions import ConstructionError, SearchError
-from repro.sequences import generate_dna, generate_protein
+from repro.exceptions import AlphabetError, ConstructionError, SearchError
+from repro.sequences import derive_sequence, generate_dna, generate_protein
 
 
 def build_pair(text, symbols, buffer_pages=4, page_size=256, **kwargs):
@@ -560,3 +561,228 @@ class TestCheckpointDifferential:
         for i in range(1, len(text) + 1, 53):
             assert reopened.link(i) == mem.link(i)
         reopened.close()
+
+
+class TestCleanOpen:
+    def test_unwritten_metadata_slot_is_not_a_corrupt_page(self,
+                                                           tmp_path):
+        """After one checkpoint only slot 1 holds a generation; slot 0
+        is all zeroes and must not count as a corrupt page."""
+        from repro.obs import get_registry
+
+        path = str(tmp_path / "once.spine")
+        with DiskSpineIndex(alphabet=dna_alphabet(), path=path) as dsk:
+            dsk.extend("ACGTACGTTGCA")
+            dsk.checkpoint()
+        registry = get_registry()
+        registry.enable()
+        try:
+            before = registry.counter("storage.corruption.pages").value
+            reopened = DiskSpineIndex.open(path)
+            assert reopened.pagefile.metrics.checksum_failures == 0
+            assert registry.counter(
+                "storage.corruption.pages").value == before
+            assert reopened.text == "ACGTACGTTGCA"
+            reopened.close()
+        finally:
+            registry.disable()
+
+    def test_corrupt_metadata_slot_still_counts(self, tmp_path):
+        path = str(tmp_path / "twice.spine")
+        with DiskSpineIndex(alphabet=dna_alphabet(), path=path) as dsk:
+            dsk.extend("ACGTACGT")
+            dsk.checkpoint()
+            dsk.extend("TTGG")
+            dsk.checkpoint()
+        # Generation 2 lives in slot 0; flip a byte of its head page.
+        with open(path, "r+b") as handle:
+            handle.seek(100)
+            byte = handle.read(1)
+            handle.seek(100)
+            handle.write(bytes([byte[0] ^ 0xFF]))
+        reopened = DiskSpineIndex.open(path)
+        assert reopened.pagefile.metrics.checksum_failures == 1
+        assert reopened.generation == 1
+        assert reopened.text == "ACGTACGT"
+        reopened.close()
+
+
+def _make_index(kind, tmp_path):
+    if kind == "memory":
+        return DiskSpineIndex(alphabet=dna_alphabet())
+    path = str(tmp_path / f"{kind}.spine")
+    wal_fsync = "always" if kind == "wal" else None
+    return DiskSpineIndex(alphabet=dna_alphabet(), path=path,
+                          wal_fsync=wal_fsync)
+
+
+def _wal_size(dsk):
+    return os.path.getsize(dsk.wal.path) if dsk.wal is not None else 0
+
+
+class TestRejectedExtend:
+    """A rejected extend mutates nothing, on every configuration."""
+
+    @pytest.mark.parametrize("kind", ["memory", "file", "wal"])
+    def test_unencodable_char_is_all_or_nothing(self, kind, tmp_path):
+        dsk = _make_index(kind, tmp_path)
+        dsk.extend("ACGTA")
+        wal_before = _wal_size(dsk)
+        with pytest.raises(AlphabetError):
+            dsk.extend("ACGXT")
+        assert len(dsk) == 5
+        assert dsk.text == "ACGTA"
+        assert _wal_size(dsk) == wal_before
+        dsk.extend("CG")
+        assert dsk.text == "ACGTACG"
+        assert dsk.find_all("CG") == [1, 5]
+        dsk.close()
+
+    @pytest.mark.parametrize("kind", ["memory", "file", "wal"])
+    @pytest.mark.parametrize("code", [-1, 4, 9, 300])
+    def test_out_of_range_code_is_rejected(self, kind, code, tmp_path):
+        dsk = _make_index(kind, tmp_path)
+        dsk.extend("ACG")
+        wal_before = _wal_size(dsk)
+        with pytest.raises(ConstructionError):
+            dsk.append_code(code)
+        assert len(dsk) == 3
+        assert dsk.text == "ACG"
+        assert _wal_size(dsk) == wal_before
+        dsk.append_code(3)
+        assert dsk.text == "ACGT"
+        dsk.close()
+
+
+def _repeat_text(n, seed):
+    base = generate_dna(n // 2, seed=seed, repeat_fraction=0.6)
+    return (base + derive_sequence(base, seed=seed + 1))[:n]
+
+
+def _structural_texts():
+    rng = random.Random(151)
+    texts = []
+    for _ in range(8):
+        syms = "ACGT"[:rng.choice([2, 3, 4])]
+        texts.append("".join(rng.choice(syms)
+                             for _ in range(rng.randint(1, 160))))
+    texts += ["A" * 150, "AC" * 80, _repeat_text(400, 152)]
+    return texts
+
+
+def _ragged(text, rng):
+    """Split ``text`` into chunks of 1..17 characters."""
+    chunks = []
+    i = 0
+    while i < len(text):
+        size = rng.choice([1, 1, 2, 3, 7, 17])
+        chunks.append(text[i:i + size])
+        i += size
+    return chunks
+
+
+def assert_same_structure(dsk, mem):
+    """Every node's link, ribs and extrib chains equal the memory
+    index's."""
+    assert len(dsk) == len(mem)
+    assert dsk.rib_count == len(mem._ribs)
+    assert dsk.text == mem.text
+    for i in range(len(mem) + 1):
+        if i:
+            assert dsk.link(i) == mem.link(i), i
+        ribs = mem.ribs_at(i)
+        assert dsk.ribs_at(i) == ribs, i
+        for code in ribs:
+            assert dsk.extrib_chain(i, code) == \
+                mem.extrib_chain(i, code), (i, code)
+
+
+TINY_POOL = dict(buffer_pages=4, page_size=256)
+
+
+def _page_bytes(path, page):
+    size = TINY_POOL["page_size"]
+    with open(path, "rb") as handle:
+        handle.seek(page * size)
+        return handle.read(size)
+
+
+class TestStructuralDifferential:
+    """Construction builds exactly the reference index's links, ribs
+    and extrib chains, whatever the chunking and durability path."""
+
+    @pytest.mark.parametrize("text", _structural_texts(),
+                             ids=lambda t: f"{t[:6]}-{len(t)}")
+    def test_ragged_chunks(self, text):
+        mem = SpineIndex(text, alphabet=dna_alphabet())
+        dsk = DiskSpineIndex(alphabet=dna_alphabet(), **TINY_POOL)
+        for chunk in _ragged(text, random.Random(len(text))):
+            dsk.extend(chunk)
+        assert_same_structure(dsk, mem)
+        dsk.close()
+
+    @pytest.mark.parametrize("text", _structural_texts(),
+                             ids=lambda t: f"{t[:6]}-{len(t)}")
+    def test_checkpoint_open_extend(self, text, tmp_path):
+        """The tail link is re-read after open, and committed CL pages
+        are shadowed by the bulk label write."""
+        path = str(tmp_path / "ck.spine")
+        cut = len(text) // 2
+        with DiskSpineIndex(alphabet=dna_alphabet(), path=path,
+                            wal_fsync="off", **TINY_POOL) as dsk:
+            dsk.extend(text[:cut // 2])
+            dsk.checkpoint()
+            dsk.extend(text[cut // 2:cut])
+            dsk.checkpoint()
+        reopened = DiskSpineIndex.open(path, wal_fsync="off",
+                                       **TINY_POOL)
+        committed = {page: _page_bytes(path, page)
+                     for page in reopened._live_pages()}
+        for chunk in _ragged(text[cut:], random.Random(cut)):
+            reopened.extend(chunk)
+        reopened.flush()
+        # Copy-on-write: the recovered generation's pages are intact.
+        for page, image in committed.items():
+            assert _page_bytes(path, page) == image, page
+        assert_same_structure(reopened,
+                              SpineIndex(text, alphabet=dna_alphabet()))
+        reopened.close()
+
+    @pytest.mark.parametrize("text", _structural_texts(),
+                             ids=lambda t: f"{t[:6]}-{len(t)}")
+    def test_crash_replay(self, text, tmp_path):
+        """WAL replay appends each record through the bulk path."""
+        path = str(tmp_path / "crash.spine")
+        cut = len(text) // 3
+        dsk = DiskSpineIndex(alphabet=dna_alphabet(), path=path,
+                             wal_fsync="off", **TINY_POOL)
+        dsk.extend(text[:cut])
+        dsk.checkpoint()
+        for chunk in _ragged(text[cut:], random.Random(cut)):
+            dsk.extend(chunk)
+        dsk.wal.sync()
+        dsk.crash()
+        reopened = DiskSpineIndex.open(path, wal_fsync="off",
+                                       **TINY_POOL)
+        assert reopened.generation == 1
+        assert_same_structure(reopened,
+                              SpineIndex(text, alphabet=dna_alphabet()))
+        reopened.close()
+
+
+class TestConstructionPageTraffic:
+    """Hardware-free bound on construction page touches: the label test
+    comes first, each chain node costs one LT entry and at most one RT
+    row read, the tail link is carried in memory, and labels land with
+    one CL write per page."""
+
+    def test_page_touches_per_char(self):
+        text = generate_dna(20000, seed=5)
+        dsk = DiskSpineIndex(alphabet=dna_alphabet(), buffer_pages=16)
+        for i in range(0, len(text), 1000):
+            dsk.extend(text[i:i + 1000])
+        metrics = dsk.pagefile.metrics
+        lookups = metrics.buffer_hits + metrics.buffer_misses
+        assert lookups / len(text) <= 6.0
+        assert metrics.reads / len(text) < 1.0
+        dsk.close()
