@@ -19,6 +19,13 @@ index is built and checkpointed, then ``extends`` chunks of
 * ``always`` — fsync per append: full acknowledged-write durability,
   and the one figure dominated by the disk, not by Python.
 
+Each configuration also records what keeping the log costs. The log
+holds the whole text — a checkpoint fsyncs it and leaves it in place —
+so after the timed loop the index is crashed, reopened (replaying the
+timed extends; ``reopen_seconds``) and checkpointed, and
+``log_bytes_per_char`` is the log size over the index length: about 1
+byte per character plus a 24-byte frame per extend call.
+
 Each configuration also records the extend loop's page traffic from
 ``pagefile.metrics``: buffer-pool lookups per appended character and
 physical page reads and writes per 1000 characters. These counts are
@@ -77,13 +84,15 @@ def _page_traffic(before, after, chars):
 
 def _time_extends(workdir, base, chunks, policy, interval,
                   buffer_pages):
-    """Build a fresh checkpointed index and time the extend loop;
-    returns ``(seconds, wal_bytes, page_traffic)``."""
+    """Build a fresh checkpointed index, time the extend loop, then
+    crash, reopen (timed) and checkpoint it; returns ``(seconds,
+    wal_bytes, page_traffic, log)`` where ``log`` holds the reopen
+    seconds and the log bytes per char after the checkpoint."""
     path = os.path.join(workdir, "bench.spine")
+    options = dict(buffer_pages=buffer_pages, wal_fsync=policy,
+                   wal_fsync_interval=interval)
     index = DiskSpineIndex(alphabet=dna_alphabet(), path=path,
-                           buffer_pages=buffer_pages,
-                           wal_fsync=policy,
-                           wal_fsync_interval=interval)
+                           **options)
     try:
         index.extend(base)
         index.checkpoint()
@@ -96,12 +105,23 @@ def _time_extends(workdir, base, chunks, policy, interval,
                               sum(map(len, chunks)))
         wal_bytes = (os.path.getsize(wal_path_for(path))
                      if index.wal is not None else 0)
+        index.crash()
+        started = time.perf_counter()
+        index = DiskSpineIndex.open(path, **options)
+        reopen_seconds = time.perf_counter() - started
+        index.checkpoint()
+        log = {
+            "reopen_seconds": reopen_seconds,
+            "log_bytes_per_char": (
+                os.path.getsize(wal_path_for(path)) / len(index)
+                if index.wal is not None else 0.0),
+        }
     finally:
         index.abort()
         for leftover in (path, wal_path_for(path)):
             if os.path.exists(leftover):
                 os.unlink(leftover)
-    return elapsed, wal_bytes, pages
+    return elapsed, wal_bytes, pages, log
 
 
 def collect_snapshot(base_chars=4000, extends=64, chunk_chars=64,
@@ -116,12 +136,15 @@ def collect_snapshot(base_chars=4000, extends=64, chunk_chars=64,
     try:
         for name, policy, interval in CONFIGURATIONS:
             best = None
+            reopen = None
             wal_bytes = 0
             for _ in range(repeats):
-                elapsed, wal_bytes, pages = _time_extends(
+                elapsed, wal_bytes, pages, log = _time_extends(
                     workdir, base, chunks, policy, interval,
                     buffer_pages)
                 best = elapsed if best is None else min(best, elapsed)
+                reopen = (log["reopen_seconds"] if reopen is None
+                          else min(reopen, log["reopen_seconds"]))
             results[name] = {
                 "fsync_policy": policy,
                 "seconds": best,
@@ -130,6 +153,8 @@ def collect_snapshot(base_chars=4000, extends=64, chunk_chars=64,
                 "extends_per_sec": (extends / best
                                     if best > 0 else None),
                 "wal_bytes": wal_bytes,
+                "log_bytes_per_char": log["log_bytes_per_char"],
+                "reopen_seconds": reopen,
                 **pages,
             }
     finally:
@@ -187,7 +212,9 @@ def main(argv=None):
               f"{data['slowdown']:.2f}x baseline; "
               f"{data['pool_lookups_per_char']:.2f} lookups/char, "
               f"{data['reads_per_kchar']:.0f} reads and "
-              f"{data['writes_per_kchar']:.0f} writes per 1k chars)")
+              f"{data['writes_per_kchar']:.0f} writes per 1k chars; "
+              f"log {data['log_bytes_per_char']:.2f} B/char, reopen "
+              f"{1000 * data['reopen_seconds']:.1f} ms)")
     return 0
 
 

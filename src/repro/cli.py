@@ -739,13 +739,20 @@ def _cmd_fuzz(args):
 
 
 def _cmd_wal(args):
+    from repro.disk.spine_disk import DiskSpineIndex
     from repro.storage.wal import WAL_SUFFIX, scan_wal, wal_path_for
 
     path = args.index
     if not path.endswith(WAL_SUFFIX):
         path = wal_path_for(path)
-    scan = scan_wal(path)
-    doc = scan.to_dict()
+    try:
+        with DiskSpineIndex.open(path[:-len(WAL_SUFFIX)],
+                                 wal_fsync=None) as index:
+            checkpoint_n = len(index)
+    except (OSError, ReproError):
+        checkpoint_n = None
+    scan = scan_wal(path, checkpoint_n)
+    doc = scan.to_dict(checkpoint_n)
     if args.json:
         json.dump(doc, sys.stdout, indent=2, sort_keys=True)
         print()
@@ -756,15 +763,24 @@ def _cmd_wal(args):
               "reinitializes it as an empty log")
     else:
         print(f"{path}: {doc['records']} record(s), "
-              f"{doc['chars']} char(s), last LSN {doc['last_lsn']}, "
-              f"base generation {doc['base_generation']}")
+              f"{doc['chars']} char(s), LSN {doc['start_lsn']} to "
+              f"{doc['last_lsn']}, base generation "
+              f"{doc['base_generation']}")
+        if checkpoint_n is not None:
+            covers = "covers" if doc["covers_checkpoint"] else \
+                "does not cover"
+            print(f"  {covers} the active checkpoint "
+                  f"({checkpoint_n} chars)")
+        for damage in doc["damaged"]:
+            print(f"  damaged frame at byte {damage['offset']} "
+                  f"({damage['bytes']} bytes, skipped on reopen)")
         if scan.torn_reason is not None:
             print(f"  torn tail: {scan.torn_reason} "
                   f"({scan.tail_bytes} byte(s) truncated on reopen)")
         for record in scan.records[-args.tail:] if args.tail else ():
             print(f"  gen {record.generation} lsn {record.lsn}: "
                   f"{len(record.payload)} char(s)")
-    clean = not scan.exists or (scan.header_ok
+    clean = not scan.exists or (scan.header_ok and not scan.damaged
                                 and scan.torn_reason is None)
     return 0 if clean else 1
 
@@ -772,6 +788,8 @@ def _cmd_wal(args):
 def _cmd_scrub(args):
     from repro.storage.scrub import scrub_index
 
+    # Read-only also for --repair: replay would read the corrupt pages,
+    # and repair keeps each shard's log for the next load to replay.
     index, kind = _load_serving_index(args.index, wal_fsync=None)
     try:
         if args.repair and kind == "shard":
@@ -1131,7 +1149,7 @@ def build_parser():
                    help="disk index file or sharded index directory")
     p.add_argument("--repair", action="store_true",
                    help="sharded index: quarantine and rebuild a "
-                        "corrupt shard online")
+                        "corrupt shard online from its write-ahead log")
     p.add_argument("--rate", type=float, metavar="PAGES_PER_SEC",
                    help="I/O throttle (default unthrottled)")
     p.add_argument("--json", action="store_true",

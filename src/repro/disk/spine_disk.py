@@ -46,8 +46,10 @@ from repro.exceptions import ConstructionError, SearchError, StorageError
 from repro.obs import get_registry, record_io_snapshot
 from repro.storage.buffer import (
     BufferPool, ClockPolicy, LRUPolicy, PinTopPolicy)
+from repro.storage.fsck import _walk_blob
 from repro.storage.pager import PageFile
-from repro.storage.wal import WriteAheadLog, wal_path_for
+from repro.storage.wal import (WriteAheadLog, replay_split,
+                                wal_path_for)
 
 _CL = struct.Struct("<B")
 _LT = struct.Struct("<iH")
@@ -361,6 +363,9 @@ class DiskSpineIndex:
         self._path = path
         #: Write-ahead log of extend records (None when disabled).
         self._wal = None
+        #: Log position where the last checkpoint this process
+        #: committed (or recovered) ends — where :meth:`abort` rewinds.
+        self._wal_mark = None
         if _defer_init:
             return
         if path is not None and fmt >= 3 and wal_fsync is not None:
@@ -369,6 +374,7 @@ class DiskSpineIndex:
             self._wal = WriteAheadLog(
                 wal_path_for(path), fsync_policy=wal_fsync,
                 fsync_interval=wal_fsync_interval, fresh=True)
+            self._wal_mark = self._wal.position
         if fmt >= 3:
             # Pages 0 and 1 are the two generational metadata slots:
             # generation g commits to slot g % 2, so a torn commit can
@@ -441,14 +447,16 @@ class DiskSpineIndex:
 
     def abort(self):
         """Roll back to the last checkpoint: release the file without
-        flushing and *discard* the write-ahead log, so a reopen serves
-        exactly the last durable generation.  Also the cleanup path
+        flushing and *rewind* the write-ahead log to where the last
+        checkpoint this process committed (or recovered) ends, so a
+        reopen serves exactly that generation.  Also the cleanup path
         for a failed :meth:`open`.  To simulate a crash that keeps the
         log (reopen-and-replay), use :meth:`crash`."""
         self.pagefile.close(sync=False)
-        if self._wal is not None:
-            self._wal.discard()
-            self._wal = None
+        if self._wal is not None and not self._wal.closed:
+            self._wal.rewind(*self._wal_mark)
+            self._wal.close(sync=False)
+        self._wal = None
 
     def crash(self):
         """Simulated ``kill -9``: drop every descriptor without
@@ -471,6 +479,10 @@ class DiskSpineIndex:
         gen = self._generation + 1
         self.pagefile.generation = gen
         self.pool.flush()
+        if self._wal is not None:
+            # The log keeps the text this checkpoint covers: make it
+            # durable before the commit point, then leave it in place.
+            self._wal.sync()
         self.pagefile.fsync()          # barrier 1: data pages durable
         blob = self._meta_blob()
         blob_crc = zlib.crc32(blob)
@@ -514,11 +526,8 @@ class DiskSpineIndex:
         if self._ledger is not None:
             self._ledger.commit(self._live_pages())
         if self._wal is not None:
-            # Every logged extend is now inside the durable
-            # checkpoint; cut the log only *after* the commit point so
-            # a crash in between replays nothing wrong (the stale
-            # records' stamps predate the recovered generation).
-            self._wal.truncate(gen)
+            self._wal.stamp(gen)
+            self._wal_mark = self._wal.position
 
     def _checkpoint_legacy(self):
         """The version-1/2 in-place layout (page 0 overwritten, not
@@ -573,8 +582,9 @@ class DiskSpineIndex:
 
         With ``wal_fsync`` non-``None`` (the default) a sidecar write-
         ahead log is then scanned: its torn tail is truncated, and
-        every record stamped with the recovered generation is replayed
-        in order, restoring extends past the last checkpoint.  Pass
+        every record past the recovered checkpoint's length is
+        replayed in order, restoring extends past the last checkpoint.
+        Pass
         ``wal_fsync=None`` to leave the sidecar untouched and disabled
         (legacy v1/v2 files always open that way — their format
         predates the WAL).
@@ -681,48 +691,40 @@ class DiskSpineIndex:
     def _attach_wal(self, fsync_policy, fsync_interval=32):
         """Open (or create) the sidecar WAL and replay its tail.
 
-        Replay is strict: records stamped with an older generation are
-        already inside the recovered checkpoint and are skipped;
-        records stamped with the recovered generation are applied in
-        order, each required to continue exactly at the current index
-        length.  The first record that breaks either rule — a stamp
-        from the future, an LSN discontinuity — ends the replay and is
-        physically truncated along with everything after it: a
-        questionable tail is dropped, never replayed wrong.
+        Replay is strict: records at or below the recovered
+        checkpoint's length are inside it; the records past it are
+        applied in order, each continuing exactly at the current
+        length, and the first that does not is physically cut with
+        everything after it — never replayed wrong.  A log that did not
+        witness the recovered checkpoint restarts empty.
         """
         wal = WriteAheadLog(wal_path_for(self._path),
                             fsync_policy=fsync_policy,
                             fsync_interval=fsync_interval,
-                            base_generation=self._generation)
-        replayed_chars = 0
-        replayed_records = 0
-        kept_records = 0
-        kept_lsn = 0
-        cut_at = None
+                            base_generation=self._generation,
+                            checkpoint_n=self._n)
+        records = wal.recovered
+        first, cut = replay_split(records, self._n)
+
+        def before(i):
+            """The log position just before ``records[i]``."""
+            return records[i].offset, i, records[i - 1].lsn if i else 0
+
         with self.pool.rwlock.write_locked():
-            for record in wal.recovered:
-                if record.generation < self._generation:
-                    kept_records += 1
-                    kept_lsn = record.lsn
-                    continue
-                if (record.generation > self._generation
-                        or record.lsn != self._n + len(record.payload)):
-                    cut_at = record.offset
-                    break
+            for record in records[first:cut]:
                 self._append_codes(record.payload, log=False)
-                replayed_records += 1
-                replayed_chars += len(record.payload)
-                kept_records += 1
-                kept_lsn = record.lsn
-        if cut_at is not None:
-            wal.rewind(cut_at, kept_records, kept_lsn)
+        if cut < len(records):
+            wal.rewind(*before(cut))
+            wal.sync()
         wal.recovered = []
         self._wal = wal
+        # abort() rewinds to where the recovered checkpoint ends.
+        self._wal_mark = before(first) if first < cut else wal.position
         registry = get_registry()
-        if registry.enabled and replayed_records:
-            registry.counter("wal.replayed_records").inc(
-                replayed_records)
-            registry.counter("wal.replayed_chars").inc(replayed_chars)
+        if registry.enabled and first < cut:
+            registry.counter("wal.replayed_records").inc(cut - first)
+            registry.counter("wal.replayed_chars").inc(
+                records[cut - 1].lsn - records[first].start)
         return wal
 
     @classmethod
@@ -803,24 +805,12 @@ class DiskSpineIndex:
     def _parse_meta_blob(cls, index, blob, version, alphabet):
         """Restore alphabet identity, counters, region directories and
         RT free lists from a metadata blob (shared by all formats)."""
-        offset = 0
-        n, rib_count, sep, sym_len = struct.unpack_from("<qqhH", blob,
-                                                        offset)
-        offset += 20
-        symbols = blob[offset:offset + sym_len].decode("utf-8")
-        offset += sym_len
-        name = "generic"
-        case_insensitive = False
-        if version >= 2:
-            flags, name_len = struct.unpack_from("<BH", blob, offset)
-            offset += 3
-            name = blob[offset:offset + name_len].decode("utf-8")
-            offset += name_len
-            case_insensitive = bool(flags & _META_CASE_INSENSITIVE)
-        restored = Alphabet(symbols, name=name,
-                            case_insensitive=case_insensitive)
-        if sep >= 0:
-            restored.separator_code = sep
+        meta = _walk_blob(blob, version)
+        restored = Alphabet(
+            meta["symbols"], name=meta["name"],
+            case_insensitive=bool(meta["flags"] & _META_CASE_INSENSITIVE))
+        if meta["separator"] >= 0:
+            restored.separator_code = meta["separator"]
         if alphabet is not None:
             mismatches = []
             if alphabet.symbols != restored.symbols:
@@ -851,22 +841,13 @@ class DiskSpineIndex:
                 for k in range(1, max_fanout + 1)
             }
             index._rt_free = {k: [] for k in index._rt}
-        index._n = n
+        index._n = meta["n"]
         index._tail = None
-        index._rib_count = rib_count
-        for _, region in index._regions():
-            count, npages = struct.unpack_from("<qi", blob, offset)
-            offset += 12
-            pages = list(struct.unpack_from(f"<{npages}i", blob, offset))
-            offset += 4 * npages
-            region.count = count
-            region.pages = pages
-        for k in sorted(index._rt_free):
-            (nfree,) = struct.unpack_from("<i", blob, offset)
-            offset += 4
-            index._rt_free[k] = list(
-                struct.unpack_from(f"<{nfree}i", blob, offset))
-            offset += 4 * nfree
+        index._rib_count = meta["rib_count"]
+        for (_, region), entry in zip(index._regions(), meta["regions"]):
+            region.count = entry["records"]
+            region.pages = entry["pages"]
+        index._rt_free.update(meta["free_lists"])
 
     def _refresh_pintop_protection(self):
         if self.policy_name != "pintop":

@@ -257,19 +257,52 @@ class QueryService:
         if registry.enabled:
             registry.gauge("serve.inflight").set(self._inflight)
 
-    def contains(self, pattern, deadline=None):
-        """Membership within a fresh snapshot (deadline-bounded)."""
+    def _read(self, op, deadline, query, describe):
+        """Run ``query(snapshot, token)`` on a fresh snapshot through
+        admission, slow-logged with ``describe(result)`` (``None`` on a
+        deadline).  The clock starts before admission, so queueing
+        for a slot counts towards the logged latency."""
         self._check_open()
-        token = self._token(deadline, "contains")
+        token = self._token(deadline, op)
+        started = time.perf_counter()
         admitted = (self.admission.admit(token)
                     if self.admission is not None else None)
+        admission_wait_s = time.perf_counter() - started
         self._enter()
+        slow_log = get_slow_log()
         try:
-            return self.snapshot().contains(pattern, cancel=token)
+            result = query(self.snapshot(), token)
+        except DeadlineExceededError:
+            if slow_log.enabled:
+                slow_log.observe(
+                    op, time.perf_counter() - started,
+                    admission_wait_s=admission_wait_s, timed_out=True,
+                    layer=type(self.index).__name__, **describe(None))
+            raise
         finally:
             self._exit()
             if admitted is not None:
                 admitted.__exit__()
+        if slow_log.enabled:
+            slow_log.observe(
+                op, time.perf_counter() - started,
+                admission_wait_s=admission_wait_s,
+                layer=type(self.index).__name__, **describe(result))
+        return result
+
+    def contains(self, pattern, deadline=None):
+        """Membership within a fresh snapshot (deadline-bounded)."""
+        def describe(found):
+            fields = {"pattern_chars": len(pattern)}
+            if found is not None:
+                fields["found"] = found
+            return fields
+
+        return self._read(
+            "contains", deadline,
+            lambda snapshot, token: snapshot.contains(pattern,
+                                                      cancel=token),
+            describe)
 
     def find_all(self, pattern, deadline=None, degraded=None):
         """All occurrences within a fresh snapshot.
@@ -278,42 +311,22 @@ class QueryService:
         overrides the service default for sharded indexes. A timed-out
         or degraded query is tagged as such in the slow-query log.
         """
-        self._check_open()
-        token = self._token(deadline, "find_all")
         if degraded is None:
             degraded = self.degraded
-        # The slow-log clock starts before admission, so time spent
-        # queued for a slot counts towards the logged latency.
-        started = time.perf_counter()
-        admitted = (self.admission.admit(token)
-                    if self.admission is not None else None)
-        admission_wait_s = time.perf_counter() - started
-        self._enter()
-        slow_log = get_slow_log()
-        try:
-            starts = self.snapshot().find_all(pattern, cancel=token,
-                                              degraded=degraded)
-        except DeadlineExceededError:
-            if slow_log.enabled:
-                slow_log.observe(
-                    "find_all", time.perf_counter() - started,
-                    admission_wait_s=admission_wait_s,
-                    pattern_chars=len(pattern), timed_out=True,
-                    layer=type(self.index).__name__)
-            raise
-        finally:
-            self._exit()
-            if admitted is not None:
-                admitted.__exit__()
-        if slow_log.enabled:
-            incomplete = getattr(starts, "complete", True) is False
-            slow_log.observe(
-                "find_all", time.perf_counter() - started,
-                admission_wait_s=admission_wait_s,
-                pattern_chars=len(pattern), occurrences=len(starts),
-                degraded=incomplete,
-                layer=type(self.index).__name__)
-        return starts
+
+        def describe(starts):
+            fields = {"pattern_chars": len(pattern)}
+            if starts is not None:
+                fields.update(
+                    occurrences=len(starts),
+                    degraded=getattr(starts, "complete", True) is False)
+            return fields
+
+        return self._read(
+            "find_all", deadline,
+            lambda snapshot, token: snapshot.find_all(
+                pattern, cancel=token, degraded=degraded),
+            describe)
 
     def batch_find_all(self, patterns, deadline=None, degraded=None):
         """Batched query with the traversal phase on the worker pool.
@@ -326,52 +339,37 @@ class QueryService:
         the close completed. ``deadline`` / ``degraded`` behave as in
         :meth:`find_all`.
         """
-        self._check_open()
-        token = self._token(deadline, "batch_find_all")
         if degraded is None:
             degraded = self.degraded
-        started = time.perf_counter()
-        admitted = (self.admission.admit(token)
-                    if self.admission is not None else None)
-        admission_wait_s = time.perf_counter() - started
-        self._enter()
-        slow_log = get_slow_log()
-        try:
-            results = self.snapshot().batch_find_all(
-                patterns, threads=self.threads,
-                executor=self._executor, cancel=token,
-                degraded=degraded)
-        except DeadlineExceededError:
-            if slow_log.enabled:
-                slow_log.observe(
-                    "batch_find_all", time.perf_counter() - started,
-                    admission_wait_s=admission_wait_s,
-                    timed_out=True, layer=type(self.index).__name__)
-            raise
-        except ServiceClosedError:
-            raise
-        except RuntimeError as exc:
-            if self._closed and "shutdown" in str(exc):
-                raise ServiceClosedError(
-                    "QueryService closed during batch_find_all") from exc
-            raise
-        finally:
-            self._exit()
-            if admitted is not None:
-                admitted.__exit__()
-        if slow_log.enabled:
-            incomplete = any(
-                getattr(m.starts, "complete", True) is False
-                for m in results)
-            slow_log.observe(
-                "batch_find_all", time.perf_counter() - started,
-                admission_wait_s=admission_wait_s,
-                patterns=len(results),
-                pattern_chars=sum(len(m.pattern) for m in results),
-                occurrences=sum(len(m.starts) for m in results),
-                degraded=incomplete,
-                layer=type(self.index).__name__)
-        return results
+
+        def query(snapshot, token):
+            try:
+                return snapshot.batch_find_all(
+                    patterns, threads=self.threads,
+                    executor=self._executor, cancel=token,
+                    degraded=degraded)
+            except ServiceClosedError:
+                raise
+            except RuntimeError as exc:
+                if self._closed and "shutdown" in str(exc):
+                    raise ServiceClosedError(
+                        "QueryService closed during batch_find_all"
+                    ) from exc
+                raise
+
+        def describe(results):
+            if results is None:
+                return {}
+            return {
+                "patterns": len(results),
+                "pattern_chars": sum(len(m.pattern) for m in results),
+                "occurrences": sum(len(m.starts) for m in results),
+                "degraded": any(
+                    getattr(m.starts, "complete", True) is False
+                    for m in results),
+            }
+
+        return self._read("batch_find_all", deadline, query, describe)
 
     # -- writes --------------------------------------------------------
 

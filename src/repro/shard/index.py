@@ -51,79 +51,12 @@ from repro.exceptions import (CircuitOpenError, ConstructionError,
 from repro.obs import get_registry, get_tracer
 from repro.resilience import CircuitBreaker, PartialResult
 from repro.shard.parallel import ShardBuildSpec, build_shard_indexes
+from repro.storage.wal import WriteAheadLog, scan_wal, wal_path_for
 
 __all__ = ["ShardedSpineIndex"]
 
 _MANIFEST = "manifest.json"
 _MANIFEST_VERSION = 1
-
-
-class _SpanJournal:
-    """Durable copy of one disk shard's local text — the repair source.
-
-    A string index can always be rebuilt from the text it indexes; the
-    journal *keeps* that text (``shard-<i>.span`` next to the page
-    file, or an in-memory buffer for pathless shards) so
-    :meth:`ShardedSpineIndex.repair_shard` can reconstruct a shard
-    whose page file went bad without trusting any of its pages.
-    Appends mirror ``shard.index.extend`` calls exactly, journal
-    first — on a crash the journal may run slightly ahead of the
-    index, which :meth:`ShardedSpineIndex.load` reconciles.
-    """
-
-    __slots__ = ("path", "chars", "_fh", "_buf")
-
-    def __init__(self, path=None, fresh=False):
-        self.path = path
-        self.chars = 0
-        self._buf = None
-        self._fh = None
-        if path is None:
-            self._buf = []
-            return
-        self._fh = open(path, "wb+" if fresh else "ab+")
-        if not fresh:
-            self._fh.seek(0)
-            data = self._fh.read()
-            if data:
-                self.chars = len(data.decode("utf-8"))
-        self._fh.seek(0, 2)
-
-    def append(self, text):
-        if not text:
-            return
-        if self._fh is not None:
-            self._fh.write(text.encode("utf-8"))
-            self._fh.flush()
-        else:
-            self._buf.append(text)
-        self.chars += len(text)
-
-    def read(self):
-        """The full journalled text."""
-        if self._fh is None:
-            return "".join(self._buf)
-        self._fh.flush()
-        self._fh.seek(0)
-        data = self._fh.read()
-        self._fh.seek(0, 2)
-        return data.decode("utf-8")
-
-    def rewrite(self, text):
-        """Replace the journal contents wholesale (reconciliation)."""
-        if self._fh is None:
-            self._buf = [text]
-        else:
-            self._fh.seek(0)
-            self._fh.truncate(0)
-            self._fh.write(text.encode("utf-8"))
-            self._fh.flush()
-        self.chars = len(text)
-
-    def close(self):
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
 
 
 class _Shard:
@@ -185,8 +118,6 @@ class ShardedSpineIndex:
         #: Serializes repair publication against concurrent extends of
         #: a quarantined shard.
         self._repair_lock = threading.Lock()
-        #: ``{shard_id: _SpanJournal}`` repair sources (disk layer).
-        self._journals = {}
         #: Per-shard circuit breakers (``None`` until
         #: :meth:`enable_breakers`); aligned with ``self._shards``.
         self._breakers = None
@@ -297,22 +228,9 @@ class ShardedSpineIndex:
         index = cls(built, alphabet, max_pattern_len, layer, n,
                     path=path, split_threshold=split_threshold,
                     disk_options=disk_options)
-        if layer == "disk":
-            for i, spec in enumerate(specs):
-                journal = _SpanJournal(index._journal_path(i),
-                                       fresh=True)
-                journal.append(spec.text)
-                index._journals[i] = journal
         if path is not None and layer != "packed":
             index.save(path)
         return index
-
-    def _journal_path(self, shard_id):
-        """Span-journal path of one shard (``None`` keeps it in
-        memory, mirroring a pathless disk shard)."""
-        if self.path is None:
-            return None
-        return os.path.join(self.path, f"shard-{shard_id}.span")
 
     # -- basic protocol ------------------------------------------------
 
@@ -384,8 +302,9 @@ class ShardedSpineIndex:
         skip the shard and report it in ``failed_shards`` — exactly an
         open breaker's behaviour, but pinned until
         :meth:`repair_shard` succeeds.  Extends aimed at a quarantined
-        shard land in its span journal only, so the rebuild picks them
-        up.  Idempotent.
+        shard land in its write-ahead log only, so the rebuild picks
+        them up (a shard without a log keeps feeding its index).
+        Idempotent.
         """
         if not 0 <= shard_id < len(self._shards):
             raise SearchError(f"no shard {shard_id}")
@@ -404,19 +323,22 @@ class ShardedSpineIndex:
     def repair_shard(self, shard_id):
         """Rebuild a quarantined disk shard online and re-admit it.
 
-        The replacement index is constructed from the shard's **span
-        journal** — the durable copy of its local text, which never
-        trusts the corrupt page file — in a sidecar ``.rebuild`` page
-        file, caught up with any extends that arrived mid-rebuild,
-        atomically moved over the old file, and swapped in; only then
-        is the quarantine lifted (and the shard's breaker reset).
-        Queries keep running against the other shards the whole time —
-        in degraded mode they return ``PartialResult(complete=False)``
+        The replacement pages are built from the shard's
+        **write-ahead log** — which keeps the shard's whole local text
+        and never trusts the corrupt page file — in a sidecar
+        ``.rebuild`` page file, caught up with any extends that arrived
+        mid-rebuild, atomically moved over the old file, and reopened
+        with the shard's own log, which stays as it is; only then is
+        the quarantine lifted (and the shard's breaker reset).  Queries
+        keep running against the other shards the whole time — in
+        degraded mode they return ``PartialResult(complete=False)``
         until the swap, complete answers after.
 
-        Raises :class:`~repro.exceptions.StorageError` (shard stays
-        quarantined) when no journal exists and the old index cannot
-        yield its text — repair then needs the original source data.
+        Without a log holding its text from LSN 0 (none attached, one
+        started by an older version, damage inside it) repair falls
+        back to the old index's own text, and raises
+        :class:`~repro.exceptions.StorageError` (shard stays
+        quarantined) when that cannot be read back either.
         """
         if self.layer != "disk":
             raise StorageError(
@@ -429,40 +351,52 @@ class ShardedSpineIndex:
         registry = get_registry()
         started = time.perf_counter()
         shard = self._shards[shard_id]
-        journal = self._journals.get(shard_id)
-        if journal is not None:
-            source = journal.read()
-        else:
-            # Best effort without a journal: the old index's CL region
-            # may still be readable when the corruption hit elsewhere.
+        source = self._logged_text(
+            shard, 0, self._local_len(shard_id, shard))
+        if source is None:
+            # Best effort without a whole log: the old index's CL
+            # region may still be readable when the corruption hit
+            # elsewhere.
             try:
                 source = shard.index.text
             except Exception as exc:
                 raise StorageError(
-                    f"shard {shard_id}: no span journal and the old "
-                    f"index cannot be read back ({exc}); repair needs "
-                    "the original source text") from exc
+                    f"shard {shard_id}: its log does not hold the "
+                    f"shard's text and the old index cannot be read "
+                    f"back ({exc}); repair needs the original source "
+                    "text") from exc
         old_path = getattr(shard.index.pagefile, "_path", None)
         build_path = (old_path + ".rebuild"
                       if old_path is not None else None)
+        # The rebuilt pages take over the shard's log, so they are
+        # built without one of their own.
         new_index = DiskSpineIndex(alphabet=self.alphabet,
                                    path=build_path,
-                                   **self._disk_options)
+                                   **{**self._disk_options,
+                                      "wal_fsync": None})
         try:
             new_index.extend(source)
             with self._repair_lock:
-                if journal is not None and journal.chars > len(new_index):
-                    # Extends that arrived while we were rebuilding.
-                    new_index.extend(journal.read()[len(new_index):])
+                owed = self._local_len(shard_id, shard)
+                if owed > len(new_index):
+                    # Extends that arrived while we were rebuilding
+                    # are in the log only.
+                    missing = self._logged_text(shard, len(new_index),
+                                                owed)
+                    if missing is None:
+                        raise StorageError(
+                            f"shard {shard_id}: the log lost extends "
+                            "that arrived during the rebuild")
+                    new_index.extend(missing)
+                    source += missing
                 if old_path is not None:
                     new_index.close(checkpoint=True)
-                    shard.index.abort()
+                    # close(), not abort(): the log is kept as it is.
+                    shard.index.close()
                     os.replace(build_path, old_path)
-                    try:
-                        os.replace(build_path + ".wal",
-                                   old_path + ".wal")
-                    except FileNotFoundError:
-                        pass
+                    self._hand_over_log(
+                        old_path, shard.index.generation, new_index,
+                        bytes(self.alphabet.encode(source)))
                     new_index = DiskSpineIndex.open(
                         old_path, alphabet=self.alphabet,
                         **self._disk_options)
@@ -892,31 +826,62 @@ class ShardedSpineIndex:
 
     def _local_len(self, i, shard):
         """Logical local length of shard ``i``: its index length, or —
-        while quarantined with a journal — the journal length (the
-        index stops receiving text then; the journal keeps growing so
-        the rebuild catches up)."""
-        journal = self._journals.get(i)
-        if journal is not None and i in self._quarantined:
-            return journal.chars
-        return len(shard.index)
+        while quarantined — the end of its log, which keeps growing so
+        the rebuild catches up."""
+        wal = getattr(shard.index, "wal", None)
+        if wal is None or i not in self._quarantined:
+            return len(shard.index)
+        return max(len(shard.index), wal.last_lsn)
+
+    @staticmethod
+    def _hand_over_log(path, old_generation, rebuilt, codes):
+        """Hand the log of the page file at ``path`` over from
+        checkpoint ``old_generation`` to the ``rebuilt`` pages holding
+        ``codes`` — restarted empty if its text disagrees with them
+        (the shard was extended with its log disabled)."""
+        if not os.path.exists(wal_path_for(path)):
+            return
+        log = WriteAheadLog(wal_path_for(path),
+                            base_generation=old_generation,
+                            checkpoint_n=len(codes))
+        try:
+            if any(r.payload[:len(codes) - r.start]
+                   != codes[r.start:r.lsn]
+                   for r in log.recovered if r.start < len(codes)):
+                log.close()
+                log = WriteAheadLog(log.path, fresh=True)
+            log.stamp(rebuilt.generation)
+        finally:
+            log.close()
+
+    @staticmethod
+    def _logged_text(shard, start, stop):
+        """Shard text ``[start, stop)`` from its attached log (one not
+        attached may disagree with the pages), or ``None``."""
+        wal = getattr(shard.index, "wal", None)
+        if wal is None:
+            return None
+        codes = scan_wal(wal.path).codes(start, stop)
+        return None if codes is None else shard.index.alphabet.decode(
+            codes)
 
     def _feed(self, i, shard, piece):
-        """Append ``piece`` to one shard: journal first (it is the
-        repair source and must never lag), then the index — unless the
-        shard is quarantined, in which case the text lands in the
-        journal only and reaches the index via the rebuild."""
+        """Append ``piece`` to one shard — to its index, or, while it
+        is quarantined, to its write-ahead log only (the text reaches
+        the index via the rebuild; a shard without a log keeps feeding
+        its index)."""
         if not piece:
             return
-        journal = self._journals.get(i)
-        if journal is not None and i in self._quarantined:
+        if i in self._quarantined and getattr(shard.index, "wal", None):
             with self._repair_lock:
                 if i in self._quarantined:
-                    journal.append(piece)
+                    shard.index.wal.append(
+                        self.alphabet.encode(piece),
+                        shard.index.generation,
+                        self._local_len(i, shard) + len(piece))
                     return
             # Repair finished while we waited: fall through and feed
             # the (rebuilt) index normally.
-        if journal is not None:
-            journal.append(piece)
         shard.index.extend(piece)
 
     def _split_tail(self):
@@ -938,9 +903,6 @@ class ShardedSpineIndex:
 
             index = SpineIndex(alphabet=self.alphabet)
         shard = _Shard(index, new_start, 0)
-        if self.layer == "disk":
-            self._journals[new_id] = _SpanJournal(
-                self._journal_path(new_id), fresh=True)
         if self._concurrent:
             enable = getattr(index, "enable_concurrent_reads", None)
             if enable is not None:
@@ -1112,31 +1074,14 @@ class ShardedSpineIndex:
                     shard.pending_overlap = max(
                         0, shard.owned_len + index.overlap
                         - len(shard.index))
-            for i, shard in enumerate(index._shards):
-                jpath = index._journal_path(i)
-                if jpath is None or not os.path.exists(jpath):
-                    # Directories saved before span journals existed:
-                    # repair falls back to the shard's own text.
-                    continue
-                journal = _SpanJournal(jpath)
-                if journal.chars != len(shard.index):
-                    # The journal is appended before the index, so a
-                    # crash can leave it ahead (or a WAL-disabled
-                    # reopen behind); the reopened index is the
-                    # durable truth — resync the journal to it.
-                    journal.rewrite(shard.index.text)
-                index._journals[i] = journal
         return index
 
     def close(self):
-        """Close disk shards and span journals (no-op on the
-        in-memory layers)."""
+        """Close disk shards (no-op on the in-memory layers)."""
         for shard in self._shards:
             closer = getattr(shard.index, "close", None)
             if closer is not None:
                 closer()
-        for journal in self._journals.values():
-            journal.close()
 
     def __enter__(self):
         return self

@@ -20,8 +20,9 @@ building blocks:
   disk index (metadata slots, generation chain, per-page CRCs, region
   page-list sanity) behind the ``repro fsck`` CLI;
 * :mod:`repro.storage.wal` — append-only CRC32-framed write-ahead log
-  of extend records, so every ``extend()`` since the last checkpoint
-  survives a crash (replayed on reopen, truncated on checkpoint);
+  of extend records, kept across checkpoints: every ``extend()``
+  since the last checkpoint survives a crash (replayed on reopen), and
+  the whole log is a shard's repair source;
 * :mod:`repro.storage.scrub` — rate-limited background verification of
   committed pages, with online quarantine-and-rebuild of corrupt
   shards in a sharded index.

@@ -17,39 +17,41 @@ from __future__ import annotations
 
 import os
 import struct
-import zlib
 
 from repro.exceptions import CorruptPageError, StorageError
 from repro.storage.pager import PageFile
-from repro.storage.wal import scan_wal, wal_path_for
+from repro.storage.wal import replay_split, scan_wal, wal_path_for
 
 _LEGACY = struct.Struct("<4sHq")
-_V3 = struct.Struct("<4sHHqqI")
 _MAGIC = b"SPDK"
 
 
 def _walk_blob(blob, version):
-    """Parse a metadata blob into counters, region directories and RT
-    free lists (mirrors ``DiskSpineIndex._parse_meta_blob``, but builds
-    a plain report instead of an index)."""
+    """Parse a metadata blob into counters, alphabet identity, region
+    directories and RT free lists — the one parser of the format, also
+    behind ``DiskSpineIndex.open``."""
     offset = 0
     n, rib_count, sep, sym_len = struct.unpack_from("<qqhH", blob, offset)
     offset += 20
     symbols = blob[offset:offset + sym_len].decode("utf-8")
     offset += sym_len
+    flags, name = 0, "generic"
     if version >= 2:
-        _flags, name_len = struct.unpack_from("<BH", blob, offset)
-        offset += 3 + name_len
+        flags, name_len = struct.unpack_from("<BH", blob, offset)
+        offset += 3
+        name = blob[offset:offset + name_len].decode("utf-8")
+        offset += name_len
     max_fanout = max(1, len(symbols) - 1)
     region_names = ["cl", "lt", "ext"]
     region_names += [f"rt{k}" for k in range(1, max_fanout + 1)]
     regions = []
-    for name in region_names:
+    for region in region_names:
         count, npages = struct.unpack_from("<qi", blob, offset)
         offset += 12
         pages = list(struct.unpack_from(f"<{npages}i", blob, offset))
         offset += 4 * npages
-        regions.append({"name": name, "records": count, "pages": pages})
+        regions.append({"name": region, "records": count,
+                        "pages": pages})
     free_lists = {}
     for k in range(1, max_fanout + 1):
         (nfree,) = struct.unpack_from("<i", blob, offset)
@@ -57,42 +59,17 @@ def _walk_blob(blob, version):
         free_lists[k] = list(struct.unpack_from(f"<{nfree}i", blob,
                                                 offset))
         offset += 4 * nfree
-    return {"n": n, "rib_count": rib_count, "symbols": symbols,
+    return {"n": n, "rib_count": rib_count, "separator": sep,
+            "symbols": symbols, "flags": flags, "name": name,
             "regions": regions, "free_lists": free_lists}
 
 
 def _read_slot(pagefile, slot):
-    """``(generation, blob, chain)`` of one v3 slot, or raise."""
-    frame = pagefile.read_page(slot)
-    magic, version, _flags, blob_len, gen, blob_crc = _V3.unpack_from(
-        frame)
-    if magic != _MAGIC:
-        raise StorageError("bad magic")
-    if version != 3:
-        raise StorageError(f"slot holds format version {version}")
-    payload = pagefile.payload_size
-    per_page = payload - 4
-    if not 0 <= blob_len <= pagefile.page_count * per_page:
-        raise StorageError(f"implausible metadata length {blob_len}")
-    chunks = [bytes(frame[_V3.size:per_page])]
-    (nxt,) = struct.unpack_from("<i", frame, payload - 4)
-    chain = []
-    seen = {slot}
-    while nxt != -1:
-        if nxt in seen or not 0 <= nxt < pagefile.page_count:
-            raise StorageError(f"metadata chain broken at page {nxt}")
-        seen.add(nxt)
-        chain.append(nxt)
-        frame = pagefile.read_page(nxt)
-        chunks.append(bytes(frame[:per_page]))
-        (nxt,) = struct.unpack_from("<i", frame, payload - 4)
-    blob = b"".join(chunks)
-    if len(blob) < blob_len:
-        raise StorageError("metadata chain shorter than blob length")
-    blob = blob[:blob_len]
-    if zlib.crc32(blob) != blob_crc:
-        raise StorageError("metadata blob CRC mismatch")
-    return gen, blob, chain
+    """``(generation, blob, chain)`` of one v3 slot, or raise — the
+    same validation recovery-on-open applies."""
+    from repro.disk.spine_disk import DiskSpineIndex
+
+    return DiskSpineIndex._read_meta_slot(pagefile, slot)
 
 
 def _check_free_lists(meta, report):
@@ -182,34 +159,63 @@ def fsck(path, page_size=4096):
             "not a disk SPINE index (no valid metadata slot)")
         return report
     report["format"] = version
-    _fsck_wal(path, report)
     if version < 3:
-        return _fsck_legacy(path, page_size, page_count, version, report)
-    return _fsck_v3(path, page_size, page_count, report)
+        _fsck_legacy(path, page_size, page_count, version, report)
+        checkpoint = None
+    else:
+        checkpoint = _fsck_v3(path, page_size, page_count, report)
+    _fsck_wal(path, report, checkpoint)
+    return report
 
 
-def _fsck_wal(path, report):
-    """Scan the sidecar WAL into ``report["wal"]``.
+def _fsck_wal(path, report, checkpoint):
+    """Scan the sidecar WAL into ``report["wal"]`` against the active
+    checkpoint's ``(generation, n)`` (``None`` when unknown).
 
     Only warnings come out of here: a torn tail is what recovery
-    truncates by design, and a WAL-less file must keep the exact exit
-    semantics it had before WALs existed."""
-    scan = scan_wal(wal_path_for(path))
-    report["wal"] = scan.to_dict()
+    truncates by design, damage inside the checkpoint is skipped, and a
+    WAL-less file must keep the exact exit semantics it had before WALs
+    existed."""
+    generation, checkpoint_n = checkpoint or (None, None)
+    scan = scan_wal(wal_path_for(path), checkpoint_n)
+    report["wal"] = scan.to_dict(checkpoint_n)
     if not scan.exists:
         return
     if not scan.header_ok:
         report["warnings"].append(
             f"WAL header does not parse ({scan.torn_reason}); recovery "
             "reinitializes it as an empty log")
-    elif scan.torn_reason is not None:
+        return
+    for offset, nbytes in scan.damaged:
+        report["warnings"].append(
+            f"WAL frame at byte {offset} is damaged ({nbytes} bytes "
+            "inside the checkpoint); recovery skips it and keeps the "
+            "records after it")
+    if scan.torn_reason is not None:
         report["warnings"].append(
             f"WAL tail torn after {len(scan.records)} valid record(s) "
             f"at LSN {scan.last_lsn}: {scan.torn_reason} "
             f"({scan.tail_bytes} bytes truncated on reopen)")
+    if checkpoint_n is None:
+        return
+    _first, cut = replay_split(scan.records, checkpoint_n)
+    if scan.base_generation != generation:
+        report["warnings"].append(
+            f"WAL base generation {scan.base_generation} is not the "
+            f"active checkpoint's {generation}: the log did not witness "
+            "it, so recovery restarts the log empty and replays none of "
+            f"its {len(scan.records)} record(s)")
+    elif cut < len(scan.records):
+        report["warnings"].append(
+            f"{len(scan.records) - cut} WAL record(s) from byte "
+            f"{scan.records[cut].offset} on do not continue the active "
+            f"checkpoint ({checkpoint_n} chars); recovery cuts them "
+            "instead of replaying them")
 
 
 def _fsck_v3(path, page_size, page_count, report):
+    """Scan a v3 file into ``report``; returns the active checkpoint's
+    ``(generation, n)``, or ``None`` when there is none."""
     pagefile = PageFile(path=path, page_size=page_size, checksums=True)
     pagefile._page_count = page_count
     try:
@@ -231,7 +237,7 @@ def _fsck_v3(path, page_size, page_count, report):
             report["slots"].append(entry)
         if not candidates:
             report["errors"].append("no intact checkpoint generation")
-            return report
+            return None
         if len(candidates) < 2:
             report["warnings"].append(
                 "only one metadata slot is valid (normal before the "
@@ -239,20 +245,13 @@ def _fsck_v3(path, page_size, page_count, report):
                 "commit that recovery would fall back from)")
         gen, slot, blob, chains_of_winner = max(candidates)
         report["active_generation"] = gen
-        wal = report["wal"]
-        if (wal and wal["present"] and wal["header_ok"]
-                and wal["base_generation"] > gen):
-            report["warnings"].append(
-                f"WAL base generation {wal['base_generation']} is "
-                f"ahead of the active checkpoint {gen}; its records "
-                "will not be replayed")
         try:
             meta = _walk_blob(blob, 3)
         except (struct.error, UnicodeDecodeError) as exc:
             report["errors"].append(
                 f"metadata blob of generation {gen} does not parse: "
                 f"{exc}")
-            return report
+            return None
         report["regions"] = [
             {"name": r["name"], "records": r["records"],
              "pages": len(r["pages"])} for r in meta["regions"]]
@@ -306,7 +305,7 @@ def _fsck_v3(path, page_size, page_count, report):
             page_count - len(keep & set(range(page_count))))
         _check_free_lists(meta, report)
         report["ok"] = not report["errors"]
-        return report
+        return gen, meta["n"]
     finally:
         pagefile.close(sync=False)
 

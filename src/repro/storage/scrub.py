@@ -23,7 +23,7 @@ Self-healing (the sharded layer): when the scrubbed index is a
 :class:`~repro.shard.index.ShardedSpineIndex` with breakers enabled,
 a shard that fails verification is **quarantined** — scatter-gather
 skips it, degraded queries report it in ``failed_shards`` — and
-rebuilt online from its span journal
+rebuilt online from its log
 (:meth:`~repro.shard.index.ShardedSpineIndex.repair_shard`); the shard
 flips back to healthy the moment the rebuilt index is swapped in, with
 no restart.

@@ -1,36 +1,35 @@
 """Write-ahead log of extend records for the disk-resident index.
 
-PR 4 made *checkpoints* crash-atomic, but every ``extend()`` since the
-last checkpoint still died with the process.  This module closes that
-gap: :class:`~repro.disk.spine_disk.DiskSpineIndex` appends each extend
-to a sidecar log (``<index path>.wal``) *before* mutating any page, so
-recovery-on-open replays the tail past the newest durable checkpoint
-generation and a crash loses at most the writes the fsync policy says
-it may lose.
+:class:`~repro.disk.spine_disk.DiskSpineIndex` appends each extend to a
+sidecar log (``<index path>.wal``) *before* mutating any page.  A
+checkpoint fsyncs the log and leaves it in place, so it keeps the whole
+text from LSN 0: recovery-on-open replays the records past the newest
+durable checkpoint, and shard repair rebuilds a corrupt index from it.
 
 Log layout (all little-endian)::
 
     header   <4sHHq>   magic b"SPWL", version, reserved,
-                       base generation (set by the last truncation)
+                       base generation: the newest checkpoint that
+                       covers the log
     record*  <IIqq>    CRC32, payload length, generation stamp, LSN
              payload   the appended character codes, one byte each
 
 The CRC covers everything after itself (length, stamp, LSN, payload),
-so a record is valid iff its frame is complete *and* checksums — a
-torn tail fails one of the two and scanning stops there.
+so a record is valid iff its frame is complete *and* checksums.
 
-Correctness rules, enforced by :meth:`WriteAheadLog.scan` +
+Correctness rules, enforced by :func:`scan_wal` +
 :meth:`~repro.disk.spine_disk.DiskSpineIndex.open`:
 
-* a record's **generation stamp** is the checkpoint generation that was
-  durable when it was appended; recovery replays exactly the records
-  stamped with the recovered generation (older stamps are already
-  inside the checkpoint, younger stamps cannot exist);
-* the **LSN** is the index length after applying the record; a replay
-  whose running length disagrees stops and truncates — a mismatched
-  tail is never replayed wrong;
-* a torn or corrupt tail is physically truncated at the last valid
-  frame on open, so the next append extends a clean log.
+* the **LSN** is the index length after applying the record; replay
+  applies, in order, the records past the checkpoint's length ``n``,
+  each continuing exactly at the current length — the first that does
+  not is cut with everything after it, never replayed wrong;
+* each checkpoint stamps its generation into the header; a log whose
+  header names another generation than the recovered one did not
+  witness that checkpoint, so it restarts empty;
+* a **torn tail** is truncated on open; **damage** inside the
+  checkpoint — a CRC-failing frame followed by one that verifies and
+  starts at or below ``n`` — is skipped, keeping the records after it.
 
 Fsync policies (the durability/throughput dial benchmarked by
 ``benchmarks/bench_wal.py``):
@@ -59,6 +58,7 @@ from __future__ import annotations
 import os
 import struct
 import zlib
+from collections import namedtuple
 
 from repro.exceptions import StorageError
 from repro.obs import get_registry
@@ -70,6 +70,7 @@ __all__ = [
     "WalRecord",
     "WalScan",
     "WriteAheadLog",
+    "replay_split",
     "scan_wal",
     "wal_path_for",
 ]
@@ -94,37 +95,36 @@ def wal_path_for(index_path):
     return os.fspath(index_path) + WAL_SUFFIX
 
 
-class WalRecord:
-    """One scanned log record (immutable)."""
+class WalRecord(namedtuple("WalRecord", "offset generation lsn payload")):
+    """One scanned log record: the frame's byte offset, the checkpoint
+    generation stamped at append time, the LSN (index length after
+    applying) and the appended codes, one byte each."""
 
-    __slots__ = ("offset", "generation", "lsn", "payload")
+    __slots__ = ()
 
-    def __init__(self, offset, generation, lsn, payload):
-        self.offset = offset          # byte offset of the frame
-        self.generation = generation  # checkpoint stamp at append time
-        self.lsn = lsn                # index length after applying
-        self.payload = payload        # appended codes, one byte each
-
-    def __repr__(self):
-        return (f"WalRecord(gen={self.generation}, lsn={self.lsn}, "
-                f"chars={len(self.payload)})")
+    @property
+    def start(self):
+        """The index length this record continues from."""
+        return self.lsn - len(self.payload)
 
 
 class WalScan:
     """Result of :func:`scan_wal` — also the fsck ``wal`` section."""
 
     __slots__ = ("path", "exists", "header_ok", "base_generation",
-                 "records", "valid_bytes", "tail_bytes", "torn_reason")
+                 "records", "damaged", "valid_bytes", "tail_bytes",
+                 "torn_reason")
 
     def __init__(self, path, exists=False, header_ok=False,
-                 base_generation=0, records=(), valid_bytes=0,
-                 tail_bytes=0, torn_reason=None):
+                 base_generation=0, records=(), damaged=(),
+                 valid_bytes=0, tail_bytes=0, torn_reason=None):
         self.path = path
         self.exists = exists
         self.header_ok = header_ok
         self.base_generation = base_generation
         self.records = list(records)
-        self.valid_bytes = valid_bytes   # header + intact frames
+        self.damaged = list(damaged)     # (offset, nbytes) skipped
+        self.valid_bytes = valid_bytes   # up to the last intact frame
         self.tail_bytes = tail_bytes     # torn/garbage bytes past that
         self.torn_reason = torn_reason
 
@@ -133,8 +133,32 @@ class WalScan:
         """LSN of the newest intact record (0 for an empty log)."""
         return self.records[-1].lsn if self.records else 0
 
-    def to_dict(self):
-        """JSON-ready summary (payloads omitted)."""
+    @property
+    def start_lsn(self):
+        """The LSN the log starts at (``None`` for an empty log); a log
+        that starts at 0 holds the index's whole text."""
+        return self.records[0].start if self.records else None
+
+    def codes(self, start, stop):
+        """The logged codes of LSN range ``[start, stop)``, or ``None``
+        when the intact records do not hold all of it without a gap."""
+        parts = []
+        pos = start
+        for record in self.records:
+            if pos >= stop:
+                break
+            if record.lsn <= pos:
+                continue
+            if record.start > pos:
+                return None
+            parts.append(record.payload[pos - record.start:
+                                        stop - record.start])
+            pos = min(record.lsn, stop)
+        return b"".join(parts) if pos >= stop else None
+
+    def to_dict(self, checkpoint_n=None):
+        """JSON-ready summary (payloads omitted); ``covers_checkpoint``:
+        the log holds ``[0, checkpoint_n)`` — a full repair source."""
         return {
             "path": self.path,
             "present": self.exists,
@@ -142,20 +166,45 @@ class WalScan:
             "base_generation": self.base_generation,
             "records": len(self.records),
             "chars": sum(len(r.payload) for r in self.records),
+            "start_lsn": self.start_lsn,
             "last_lsn": self.last_lsn,
+            "checkpoint_n": checkpoint_n,
+            "covers_checkpoint": (
+                None if checkpoint_n is None
+                else self.codes(0, checkpoint_n) is not None),
+            "damaged": [{"offset": offset, "bytes": nbytes}
+                        for offset, nbytes in self.damaged],
             "valid_bytes": self.valid_bytes,
             "tail_bytes": self.tail_bytes,
             "torn_reason": self.torn_reason,
         }
 
 
-def scan_wal(path):
+def _frame_at(data, offset):
+    """``(record, end, reason)`` of the frame at ``offset``: ``record``
+    is ``None`` when the frame fails (``reason`` says how), and ``end``
+    is ``None`` when the frame is incomplete."""
+    if offset + _FRAME.size > len(data):
+        return None, None, "incomplete frame header at end of log"
+    crc, length, gen, lsn = _FRAME.unpack_from(data, offset)
+    end = offset + _FRAME.size + length
+    if end > len(data):
+        return None, None, "frame payload extends past end of log"
+    if zlib.crc32(data[offset + 4:end]) != crc:
+        return None, end, "frame CRC mismatch"
+    return WalRecord(offset, gen, lsn, data[offset + _FRAME.size:end]), \
+        end, None
+
+
+def scan_wal(path, checkpoint_n=None):
     """Scan a WAL file without touching it.
 
-    Reads frames sequentially, stopping at the first incomplete or
-    CRC-failing frame; everything from there on counts as the torn
-    tail.  A missing file scans as ``exists=False`` (an index without
-    a WAL is simply one with nothing to replay), and an unreadable
+    Reads frames sequentially.  The first incomplete or CRC-failing
+    frame starts the torn tail — unless it is damage inside the
+    checkpoint of length ``checkpoint_n``: its length field leads to a
+    frame that verifies and starts at or below ``checkpoint_n``.  Such a
+    frame is listed in ``damaged`` and the scan goes on.  A missing file
+    scans as ``exists=False`` (nothing to replay), and an unreadable
     header as an empty log with a diagnosis — never an exception, so
     ``fsck`` and recovery share one code path.
     """
@@ -175,32 +224,47 @@ def scan_wal(path):
         return WalScan(path, exists=True, tail_bytes=len(data),
                        torn_reason=f"unsupported WAL version {version}")
     records = []
+    damaged = []
     offset = _HEADER.size
+    valid = offset
     torn = None
     while offset < len(data):
-        if offset + _FRAME.size > len(data):
-            torn = "incomplete frame header at end of log"
+        record, end, reason = _frame_at(data, offset)
+        if record is None and end is not None \
+                and checkpoint_n is not None:
+            successor = _frame_at(data, end)[0]
+            if successor is not None and successor.start <= checkpoint_n:
+                damaged.append((offset, end - offset))
+                offset = end
+                continue
+        if record is None:
+            torn = reason
             break
-        crc, length, gen, lsn = _FRAME.unpack_from(data, offset)
-        end = offset + _FRAME.size + length
-        if end > len(data):
-            torn = "frame payload extends past end of log"
-            break
-        body = data[offset + 4:end]
-        if zlib.crc32(body) != crc:
-            torn = "frame CRC mismatch"
-            break
-        records.append(WalRecord(offset, gen, lsn,
-                                 data[offset + _FRAME.size:end]))
-        offset = end
+        records.append(record)
+        offset = valid = end
     return WalScan(path, exists=True, header_ok=True,
                    base_generation=base_gen, records=records,
-                   valid_bytes=offset, tail_bytes=len(data) - offset,
-                   torn_reason=torn)
+                   damaged=damaged, valid_bytes=valid,
+                   tail_bytes=len(data) - valid, torn_reason=torn)
+
+
+def replay_split(records, checkpoint_n):
+    """``(first, cut)``: ``records[:first]`` lie inside a checkpoint of
+    length ``checkpoint_n``, ``records[first:cut]`` continue it one
+    after the other (replayed), and ``records[cut:]`` are cut."""
+    first = 0
+    while first < len(records) and records[first].lsn <= checkpoint_n:
+        first += 1
+    length = checkpoint_n
+    cut = first
+    while cut < len(records) and records[cut].start == length:
+        length = records[cut].lsn
+        cut += 1
+    return first, cut
 
 
 class WriteAheadLog:
-    """Append-only, CRC32-framed extend log with a durable truncate.
+    """Append-only, CRC32-framed extend log.
 
     Parameters
     ----------
@@ -212,20 +276,26 @@ class WriteAheadLog:
     fsync_interval:
         Appends between fsyncs under the ``interval`` policy.
     base_generation:
-        Checkpoint generation stamped into a freshly created header.
+        The checkpoint generation the log must have witnessed: stamped
+        into a fresh header (0 when ``None``), and an existing log whose
+        header names another one restarts empty (it cannot be trusted
+        to match the pages).  ``None`` accepts any.
     fresh:
         Start from an empty log even when a file exists — the path a
         brand-new index takes so it cannot inherit a stale sidecar
         from a previous index built at the same path.
+    checkpoint_n:
+        Length of the checkpoint the log continues; damage at or below
+        it is skipped instead of cut (see :func:`scan_wal`).
 
-    Opening an existing log scans it and **physically truncates** any
+    Opening an existing log scans it and **physically truncates** a
     torn tail, so the object always appends after the last valid
     frame.  The scanned records are left in :attr:`recovered` for the
     owner to replay.
     """
 
     def __init__(self, path, fsync_policy="always", fsync_interval=32,
-                 base_generation=0, fresh=False):
+                 base_generation=None, fresh=False, checkpoint_n=None):
         if fsync_policy not in FSYNC_POLICIES:
             raise StorageError(
                 f"unknown WAL fsync policy {fsync_policy!r}; expected "
@@ -237,9 +307,11 @@ class WriteAheadLog:
         self.fsync_interval = fsync_interval
         self._appends_since_sync = 0
         self._closed = False
-        scan = (WalScan(self.path) if fresh else scan_wal(self.path))
+        scan = (WalScan(self.path) if fresh
+                else scan_wal(self.path, checkpoint_n))
         registry = get_registry()
-        if scan.exists and scan.header_ok:
+        if scan.exists and scan.header_ok and base_generation in (
+                None, scan.base_generation):
             self._fh = open(self.path, "r+b")
             if scan.tail_bytes:
                 # Clean truncation of the torn tail: the next append
@@ -257,12 +329,11 @@ class WriteAheadLog:
             self.last_lsn = scan.last_lsn
             self.recovered = scan.records
         else:
-            # Absent — or present but unreadable from the first byte
-            # (a crash mid-truncation): either way the only safe
-            # content is an empty log.
+            # Absent, unreadable from the first byte (a crash while a
+            # fresh log wrote its header), or blind to the checkpoint:
+            # the only safe content is an empty log.
             self._fh = open(self.path, "w+b")
-            self._write_header(base_generation)
-            self.base_generation = base_generation
+            self._write_header(base_generation or 0)
             self._offset = _HEADER.size
             self.records = 0
             self.last_lsn = 0
@@ -278,6 +349,7 @@ class WriteAheadLog:
         self._fh.write(_HEADER.pack(WAL_MAGIC, WAL_VERSION, 0,
                                     base_generation))
         self._fh.flush()
+        self.base_generation = base_generation
 
     def _fsync(self):
         if _FAILPOINTS.active:
@@ -348,34 +420,25 @@ class WriteAheadLog:
         if not self._closed:
             self._fsync()
 
-    def truncate(self, generation):
-        """Durably empty the log after checkpoint ``generation``.
-
-        Every logged record is now inside the checkpoint; the file is
-        cut back to a fresh header stamped with the new base
-        generation and fsynced.  A crash mid-truncation leaves either
-        the old records (skipped on replay — their stamps predate the
-        recovered generation) or an unreadable header (reinitialised
-        as empty on reopen); both recover correctly.
-        """
+    def stamp(self, generation):
+        """Rewrite the header's base generation in place (durable with
+        the next fsync): checkpoint ``generation`` covers the log."""
         if self._closed:
             raise StorageError(f"{self.path}: WAL is closed")
-        self._fh.truncate(_HEADER.size)
         self._write_header(generation)
-        self.base_generation = generation
-        self._offset = _HEADER.size
-        self.records = 0
-        self.last_lsn = 0
-        self._fsync()
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("wal.truncations").inc()
+
+    @property
+    def position(self):
+        """``(offset, records, last_lsn)`` of the log end — a point
+        :meth:`rewind` can return to."""
+        return self._offset, self.records, self.last_lsn
 
     def rewind(self, offset, records, last_lsn):
-        """Physically cut the log at ``offset`` (a frame boundary from
-        a scan), keeping ``records`` intact frames.  The recovery path
-        for valid-looking frames that must never be replayed — a
-        generation stamp from the future or an LSN discontinuity."""
+        """Cut the log at ``offset`` (a frame boundary from a scan or a
+        :attr:`position`), keeping ``records`` intact frames; durable
+        with the next fsync.  Recovery cuts valid-looking records that
+        must never be replayed (an LSN discontinuity) this way, and
+        ``abort()`` the records past the last checkpoint."""
         if self._closed:
             raise StorageError(f"{self.path}: WAL is closed")
         if not _HEADER.size <= offset <= self._offset:
@@ -385,18 +448,8 @@ class WriteAheadLog:
         self._offset = offset
         self.records = records
         self.last_lsn = last_lsn
-        self._fsync()
 
     # -- lifecycle -----------------------------------------------------
-
-    def discard(self):
-        """Delete the log — the deliberate roll-back-to-checkpoint
-        path (``DiskSpineIndex.abort``), *not* a crash simulation."""
-        self.close(sync=False)
-        try:
-            os.unlink(self.path)
-        except FileNotFoundError:
-            pass
 
     def close(self, sync=True):
         """Release the descriptor; ``sync=False`` skips the final

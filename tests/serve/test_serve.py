@@ -106,7 +106,8 @@ class TestQueryService:
             t.join(timeout=30)
         assert not errors
 
-    @pytest.mark.parametrize("op", ["find_all", "batch_find_all"])
+    @pytest.mark.parametrize("op", ["find_all", "batch_find_all",
+                                    "contains"])
     def test_slow_log_latency_includes_admission_wait(self, op):
         index = SpineIndex("aaccacaaca" * 20)
         hold_s = 0.2
@@ -120,6 +121,8 @@ class TestQueryService:
             try:
                 if op == "find_all":
                     svc.find_all("acca")
+                elif op == "contains":
+                    svc.contains("acca")
                 else:
                     svc.batch_find_all(["acca", "ca"])
             finally:

@@ -149,6 +149,66 @@ class TestQuarantineRepair:
                 sorted(oracle.find_all(pattern))
         index.close()
 
+    def test_cli_repair_keeps_unsaved_extends(self, tmp_path):
+        # Extends past the last save() live only in the tail shard's
+        # log; a repair must rebuild from that log, not from a copy cut
+        # back to the checkpoint.
+        from repro.cli import main
+
+        index, text = self._build(tmp_path)
+        extra = generate_dna(400, seed=35)
+        index.extend(extra)
+        tail = index.shard_count - 1
+        index.close()
+        directory = str(tmp_path / "shards")
+        pages = os.path.join(directory, f"shard-{tail}.pages")
+        probe = DiskSpineIndex.open(pages, wal_fsync=None)
+        page_id = min(set(probe._ledger.committed)
+                      - set(probe._cl.pages))
+        page_size = probe.pagefile.page_size
+        probe.close()
+        with open(pages, "r+b") as handle:
+            handle.seek(page_id * page_size + 64)
+            handle.write(b"\xfe" * 32)
+
+        assert main(["scrub", directory, "--repair"]) == 0
+        reloaded = ShardedSpineIndex.load(directory)
+        full = (text + extra).upper()
+        assert len(reloaded) == len(full) == 3400
+        for pattern in ("ACGT", "GGTT", "TTAA"):
+            expected = []
+            at = full.find(pattern)
+            while at != -1:
+                expected.append(at)
+                at = full.find(pattern, at + 1)
+            assert sorted(reloaded.find_all(pattern)) == expected
+        reloaded.close()
+
+    def test_repair_never_hands_over_a_stale_log(self, tmp_path):
+        # Extends served with the log disabled make the log's unreplayed
+        # records stale; the rebuilt shard must not replay them later.
+        directory = str(tmp_path / "stale")
+        text = generate_dna(1500, seed=3)
+        index = ShardedSpineIndex.build(
+            text, shards=2, max_pattern_len=12, layer="disk",
+            path=directory, buffer_pages=8)
+        index.extend("AAAAAAAA")
+        index.extend("CCCCCCCC")
+        index.close()
+        index = ShardedSpineIndex.load(directory, wal_fsync=None)
+        index.extend("GGGGGGGG")
+        index.enable_breakers()
+        index.quarantine(1, reason="test")
+        index.repair_shard(1)
+        index.close()
+        reloaded = ShardedSpineIndex.load(directory)
+        oracle = SpineIndex((text + "GGGGGGGG").upper())
+        assert len(reloaded) == len(text) + 8
+        for pattern in ("AAAA", "CCCC", "GGGG", "ACGT"):
+            assert sorted(reloaded.find_all(pattern)) == \
+                sorted(oracle.find_all(pattern))
+        reloaded.close()
+
     def test_repair_without_breakers_stays_quarantined(self, tmp_path):
         text = generate_dna(1500, seed=36)
         index = ShardedSpineIndex.build(

@@ -1,6 +1,7 @@
 """Write-ahead log unit tests plus DiskSpineIndex recovery semantics:
-replay-on-open, checkpoint truncation, abort discard, and legacy files
-staying WAL-less."""
+replay-on-open, the log kept across checkpoints, abort rewinding it,
+damage inside the checkpoint skipped, and legacy files staying
+WAL-less."""
 
 import os
 import struct
@@ -11,6 +12,7 @@ from repro.alphabet import dna_alphabet
 from repro.disk import DiskSpineIndex
 from repro.exceptions import StorageError
 from repro.sequences import generate_dna
+from repro.storage.fsck import fsck
 from repro.storage.wal import (
     FSYNC_POLICIES, WAL_SUFFIX, WriteAheadLog, scan_wal, wal_path_for)
 
@@ -105,18 +107,23 @@ class TestTornTail:
 
 
 class TestTruncateRewind:
-    def test_truncate_empties_and_restamps(self, tmp_path):
+    def test_rewind_to_position_keeps_earlier_records(self, tmp_path):
+        # The log is never emptied: abort() returns to a recorded
+        # position, keeping every record before it.
+        assert not hasattr(WriteAheadLog, "truncate")
         path = str(tmp_path / "t.wal")
         wal = WriteAheadLog(path)
         wal.append(b"\x00\x01", generation=0, lsn=2)
-        wal.truncate(generation=1)
-        assert wal.records == 0 and wal.last_lsn == 0
-        assert wal.base_generation == 1
+        mark = wal.position
         wal.append(b"\x02", generation=1, lsn=3)
+        wal.rewind(*mark)
+        assert wal.records == 1 and wal.last_lsn == 2
+        wal.append(b"\x03", generation=1, lsn=3)
         wal.close()
         scan = scan_wal(path)
-        assert scan.base_generation == 1
-        assert [r.lsn for r in scan.records] == [3]
+        assert scan.base_generation == 0
+        assert [r.lsn for r in scan.records] == [2, 3]
+        assert scan.start_lsn == 0 and scan.codes(0, 3) == b"\x00\x01\x03"
 
     def test_rewind_cuts_at_frame_boundary(self, tmp_path):
         path = str(tmp_path / "r.wal")
@@ -163,24 +170,28 @@ class TestDiskRecovery:
         assert reopened.generation == 1
         reopened.close()
 
-    def test_checkpoint_truncates_the_log(self, tmp_path):
+    def test_checkpoint_keeps_the_log(self, tmp_path):
         path = str(tmp_path / "trunc.spine")
+        text = generate_dna(300, seed=19)
         ix = DiskSpineIndex(alphabet=dna_alphabet(), path=path,
                             buffer_pages=8)
-        ix.extend(generate_dna(300, seed=19))
+        ix.extend(text)
         ix.checkpoint()
         ix.extend("ACGTACGT")
-        assert ix.wal.records == 1
+        assert ix.wal.records == 2
         ix.checkpoint()
-        assert ix.wal.records == 0
+        assert ix.wal.records == 2 and ix.wal.last_lsn == len(ix)
         assert ix.wal.base_generation == ix.generation
         ix.close()
         scan = scan_wal(wal_path_for(path))
-        assert scan.records == [] and scan.base_generation == 2
+        assert [r.lsn for r in scan.records] == [300, 308]
+        assert scan.start_lsn == 0 and scan.base_generation == 2
+        codes = scan.codes(0, 308)
+        assert dna_alphabet().decode(codes) == text.upper() + "ACGTACGT"
 
-    def test_abort_discards_wal(self, tmp_path):
-        """ISSUE satellite: abort() after extends with an open WAL —
-        log discarded, reopen serves exactly the last checkpoint."""
+    def test_abort_rewinds_wal_to_checkpoint(self, tmp_path):
+        """abort() after extends with an open WAL — the log is rewound
+        to the checkpoint's end, and a reopen serves exactly it."""
         path = str(tmp_path / "abort.spine")
         text = generate_dna(500, seed=20)
         ix = DiskSpineIndex(alphabet=dna_alphabet(), path=path,
@@ -189,9 +200,11 @@ class TestDiskRecovery:
         ix.checkpoint()
         checkpoint_answers = self._answers(ix)
         ix.extend(generate_dna(200, seed=21))
-        assert ix.wal.records == 1
+        assert ix.wal.records == 2
         ix.abort()
-        assert not os.path.exists(wal_path_for(path))
+        scan = scan_wal(wal_path_for(path))
+        assert [r.lsn for r in scan.records] == [len(text)]
+        assert scan.torn_reason is None
 
         reopened = DiskSpineIndex.open(path, buffer_pages=8)
         assert len(reopened) == len(text)
@@ -221,7 +234,7 @@ class TestDiskRecovery:
         ix.extend(generate_dna(300, seed=23))
         ix.checkpoint()
         ix.extend("ACGT")        # gen-1 stamped record
-        ix.checkpoint()          # truncates; record now in checkpoint
+        ix.checkpoint()          # record now inside the checkpoint
         ix.extend("TTTT")        # gen-2 stamped record
         n = len(ix)
         ix.crash()
@@ -240,19 +253,71 @@ class TestDiskRecovery:
         ix.extend("ACGT")
         ix.extend("GGTT")
         ix.crash()
-        # Corrupt the first record's payload: its frame fails CRC, so
-        # the second record (valid, but LSN-discontinuous with the
-        # checkpoint) must be cut, not replayed out of order.
+        # Corrupt the payload of the first record past the checkpoint:
+        # its frame fails CRC, so the next record (valid, but
+        # LSN-discontinuous with the checkpoint) must be cut, not
+        # replayed out of order.
         wal_path = wal_path_for(path)
         with open(wal_path, "r+b") as handle:
-            handle.seek(16 + 16)     # header + first frame header
+            # header + the checkpointed record + first frame header
+            handle.seek(16 + (24 + 300) + 16)
             handle.write(b"\xff" * 2)
         reopened = DiskSpineIndex.open(path, buffer_pages=8)
         assert reopened.text == text.upper()   # checkpoint only
         reopened.close()
         # and the cut is physical: a second reopen finds a clean log
         scan = scan_wal(wal_path)
-        assert scan.records == [] and scan.torn_reason is None
+        assert [r.lsn for r in scan.records] == [300]
+        assert scan.torn_reason is None and scan.damaged == []
+
+    def test_damage_inside_checkpoint_keeps_later_records(self,
+                                                           tmp_path):
+        # The log keeps checkpointed records; a flipped byte in one of
+        # them must not cost the acknowledged extends after it.
+        path = str(tmp_path / "damage.spine")
+        text_a = generate_dna(300, seed=24)
+        text_b = generate_dna(40, seed=38)
+        ix = DiskSpineIndex(alphabet=dna_alphabet(), path=path,
+                            buffer_pages=8)
+        ix.extend(text_a)
+        ix.checkpoint()
+        ix.extend(text_b)
+        ix.crash()
+        wal_path = wal_path_for(path)
+        with open(wal_path, "r+b") as handle:
+            handle.seek(16 + 24 + 100)   # a payload byte of A's record
+            handle.write(b"\xff")
+        reopened = DiskSpineIndex.open(path, buffer_pages=8)
+        assert reopened.text == (text_a + text_b).upper()
+        reopened.close()
+        report = fsck(path)
+        assert report["ok"]
+        assert report["wal"]["damaged"] == [{"offset": 16,
+                                             "bytes": 24 + 300}]
+        assert report["wal"]["covers_checkpoint"] is False
+        assert any("damaged" in w for w in report["warnings"])
+
+    def test_checkpoint_without_log_restarts_it(self, tmp_path):
+        # A session with the log disabled checkpoints text the log never
+        # saw; a record that happens to continue at the new length
+        # belongs to the bypassed history and must not replay.
+        path = str(tmp_path / "stale-history.spine")
+        ix = DiskSpineIndex(alphabet=dna_alphabet(), path=path,
+                            buffer_pages=8)
+        ix.extend(generate_dna(300, seed=39))
+        ix.checkpoint()
+        ix.extend("AAAAAAAA")
+        ix.extend("CCCCCCCC")
+        ix.crash()
+        ix = DiskSpineIndex.open(path, buffer_pages=8, wal_fsync=None)
+        ix.extend("GGGGGGGG")
+        ix.checkpoint()
+        expected = ix.text
+        ix.close()
+        reopened = DiskSpineIndex.open(path, buffer_pages=8)
+        assert reopened.text == expected
+        assert reopened.wal.records == 0
+        reopened.close()
 
     def test_wal_disabled_open_ignores_log(self, tmp_path):
         path = str(tmp_path / "nowal.spine")
