@@ -236,7 +236,9 @@ def generate_scenario(rng, layers=None, max_text=None, injection=None):
         text=text,
         cuts=cuts,
         layers=layers,
-        page_size=rng.choice([1024, 4096]),
+        # 512 B still holds the widest RT row of the largest alphabet
+        # and makes even short texts span several LT pages.
+        page_size=rng.choice([512, 1024, 4096]),
         buffer_pages=rng.choice([4, 8, 16]),
         checkpoint=rng.random() < 0.3,
         reopen=rng.random() < 0.25,

@@ -125,6 +125,10 @@ class SpineIndex:
     def extend(self, text):
         """Append ``text`` to the indexed string (online growth).
 
+        The whole chunk is encoded before the first append, so a
+        character outside the alphabet rejects the call and leaves the
+        index unchanged.
+
         When metrics are enabled (:mod:`repro.obs`), each call reports
         the appended character count, the construction-effort deltas and
         the elapsed time into the global registry — one bulk publish per
@@ -135,10 +139,12 @@ class SpineIndex:
         if observing:
             before = dict(self.construction_counters)
             started = time.perf_counter()
+        # Alphabet codes are in range by construction; bytes keep the
+        # encoded chunk small while it is appended.
+        codes = bytes(self.alphabet.encode(text))
         append = self.append_code
-        encode = self.alphabet.encode_char
-        for ch in text:
-            append(encode(ch))
+        for c in codes:
+            append(c)
         if observing:
             elapsed = time.perf_counter() - started
             registry.timer("construction.extend.seconds").observe(elapsed)

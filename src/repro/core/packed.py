@@ -26,17 +26,12 @@ is asserted property-style in the tests. It is also the unit the
 disk-resident implementation pages over (:mod:`repro.disk`).
 
 The link scan (:meth:`PackedSpineIndex.iter_link_entries`, Section 4)
-is vectorized. Node ``j`` ends an occurrence iff its LEL reaches the
-pattern length and its link destination is already a target, and links
-point upstream, so the occurrences form a subtree of the link tree
-under the first match. The scan selects the candidates ``C`` (LEL at
-or above the floor) and gathers their destinations in array passes,
-then finds the candidates whose link chain through ``C`` reaches a
-target by pointer doubling — each round ORs in the flag of the entry
-a chain pointer names and doubles the pointer, O(|C| log depth) in
-all. Python then visits only those entries, re-testing each one
-against the targets the caller has grown, so the yielded sequence is
-the per-entry scan's.
+is vectorized. It selects the candidates (LEL at or above the floor)
+and gathers their destinations in array passes, then hands them to
+:func:`repro.core.search.reaching_entries` — the pointer-doubling
+closure the disk sweep shares — which keeps only the candidates whose
+link chain reaches a target and re-tests those in ascending order, so
+the yielded sequence is the per-entry scan's.
 """
 
 from __future__ import annotations
@@ -55,20 +50,6 @@ _UNLOCKED = contextlib.nullcontext()
 OVERFLOW_SENTINEL = 0xFFFF
 _PTR_CLASS_SHIFT = 26
 _PTR_ROW_MASK = (1 << _PTR_CLASS_SHIFT) - 1
-
-
-def _member_mask(values, targets):
-    """Boolean mask of ``values`` (int array) that are keys of
-    ``targets``, in O(len(values) + min(len(targets), len(values))):
-    one array test against the keys when ``targets`` is the smaller
-    side, else one hash probe per value — so a windowed sweep whose
-    target set has grown to the whole answer does not re-read it
-    every window."""
-    if len(targets) <= values.size:
-        keys = np.fromiter(targets, dtype=np.int64, count=len(targets))
-        return np.isin(values, keys)
-    return np.fromiter((v in targets for v in values.tolist()),
-                       dtype=bool, count=values.size)
 
 
 class RibTable:
@@ -254,29 +235,14 @@ class PackedSpineIndex:
             sel = fanout == f
             ptr[sel] = table.ld[row[sel]]
         dest[displaced] = ptr
-        reach = _member_mask(dest, targets)
-        # parent[i]: position in C of dest(C[i]), or -1. Links point
-        # upstream, so parent[i] < i and every chain ends.
-        parent = cand.searchsorted(dest)
-        parent[cand[parent] != dest] = -1
-        live = ((parent >= 0) & ~reach).nonzero()[0]
-        while live.size:
-            up = parent[live]
-            reach[live] |= reach[up]
-            parent[live] = parent[up]
-            live = live[(parent[live] >= 0) & ~reach[live]]
-        hits = reach.nonzero()[0]
-        cand = cand[hits]
-        lt_lel = self._lt_lel
-        for j, d, lel in zip(cand.tolist(), dest[hits].tolist(),
-                             lt_lel[cand].tolist()):
-            if d not in targets:
-                continue
-            if lel == OVERFLOW_SENTINEL:
-                lel = self._lel_overflow.get(j, lel)
-                if lel < min_lel:
+        lel = self._lt_lel[cand]
+        for j, d, length in search.reaching_entries(cand, dest, lel,
+                                                    targets):
+            if length == OVERFLOW_SENTINEL:
+                length = self._lel_overflow.get(j, length)
+                if length < min_lel:
                     continue
-            yield j, d, lel
+            yield j, d, length
 
     def ribs_at(self, node):
         """Dict ``code -> (dest, PT)`` at ``node`` (mirrors reference)."""

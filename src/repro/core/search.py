@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
+
 from repro.exceptions import SearchError
 from repro.obs import get_registry
 from repro.obs.trace import get_tracer
@@ -279,6 +281,59 @@ class OccurrenceScanner:
             pid: [e - self._patterns[pid][1] for e in end_list]
             for pid, end_list in ends.items()
         }
+
+
+def _member_mask(values, targets):
+    """Boolean mask of ``values`` (int array) that are keys of
+    ``targets``: a binary search of the sorted keys when ``targets`` is
+    the smaller side, else one hash probe per value — so a windowed
+    sweep whose target set has grown to the whole answer does not
+    re-read it every window. (``np.isin`` would import ``numpy.ma``,
+    ~2 MiB, on the first disk sweep.)"""
+    if 0 < len(targets) <= values.size:
+        keys = np.fromiter(targets, dtype=np.int64, count=len(targets))
+        keys.sort()
+        pos = keys.searchsorted(values)
+        np.minimum(pos, keys.size - 1, out=pos)
+        return keys[pos] == values
+    return np.fromiter((v in targets for v in values.tolist()),
+                       dtype=bool, count=values.size)
+
+
+def reaching_entries(cand, dest, lel, targets):
+    """The vectorized form of the per-entry scan rule, shared by the
+    array-backed layers' ``iter_link_entries``.
+
+    ``cand`` holds ascending node ids whose LEL already passed the
+    floor, ``dest`` and ``lel`` their link destinations and LELs (int
+    arrays aligned with ``cand``). Yields ``(j, dest, LEL)`` for each
+    candidate whose ``dest`` is in ``targets`` when it is reached in
+    ascending order — exactly the per-entry scan of ``cand``, while
+    ``targets`` grows between yields by yielded nodes only.
+
+    Links point upstream, so a candidate can only be accepted if its
+    link chain through ``cand`` reaches a current target. Pointer
+    doubling finds those candidates first — each round ORs in the flag
+    of the entry a chain pointer names and doubles the pointer,
+    O(|cand| log depth) in all — and Python re-tests ``dest in
+    targets`` over that superset alone.
+    """
+    reach = _member_mask(dest, targets)
+    # parent[i]: position in cand of dest[i], or -1. dest[i] < cand[i],
+    # so parent[i] < i and every chain ends.
+    parent = cand.searchsorted(dest)
+    parent[cand[parent] != dest] = -1
+    live = ((parent >= 0) & ~reach).nonzero()[0]
+    while live.size:
+        up = parent[live]
+        reach[live] |= reach[up]
+        parent[live] = parent[up]
+        live = live[(parent[live] >= 0) & ~reach[live]]
+    hits = reach.nonzero()[0]
+    for j, d, length in zip(cand[hits].tolist(), dest[hits].tolist(),
+                            lel[hits].tolist()):
+        if d in targets:
+            yield j, d, length
 
 
 def trace_path(index, pattern):

@@ -40,6 +40,8 @@ import struct
 import time
 import zlib
 
+import numpy as np
+
 from repro.alphabet import Alphabet, dna_alphabet
 from repro.core import matching, search
 from repro.exceptions import ConstructionError, SearchError, StorageError
@@ -53,6 +55,8 @@ from repro.storage.wal import (WriteAheadLog, replay_split,
 
 _CL = struct.Struct("<B")
 _LT = struct.Struct("<iH")
+#: ``_LT`` as a NumPy record, for decoding whole page slices.
+_LT_DTYPE = np.dtype([("ref", "<i4"), ("lel", "<u2")])
 _EXT = struct.Struct("<3i")
 _SLOT_INTS = 4  # code, dest, pt, chain_head
 
@@ -67,6 +71,10 @@ _META_V3 = struct.Struct("<4sHHqqI")
 
 _PTR_CLASS_SHIFT = 26
 _PTR_ROW_MASK = (1 << _PTR_CLASS_SHIFT) - 1
+
+#: LT pages the occurrence sweep decodes per pointer-doubling closure
+#: (64 4-KiB pages hold ~44k entries): bounds the sweep's temporaries.
+_SWEEP_PAGES = 64
 
 
 class _PageLedger:
@@ -184,21 +192,19 @@ class _Region:
         frame = pool.get(page_id)
         return self.record.unpack_from(frame, offset)
 
-    def iter_records(self, start, stop):
-        """Yield the unpacked records ``start <= index < stop``, one
-        page at a time.
+    def page_slices(self, start, stop):
+        """Yield ``(first, chunk)`` covering records ``start <= index <
+        stop``, one page at a time: ``chunk`` is a copy of the packed
+        records ``first, first + 1, ...`` of one page.
 
         Each page is looked up once through the pool (so faults,
-        checksum checks, retries and trace attribution stay per page);
-        the covered slice is copied out — under a pin when the pool is
-        thread-safe — and decoded with ``Struct.iter_unpack`` after the
-        frame is released. Records never span pages, so the consumer
-        may touch other pages between records without invalidating the
-        decode.
+        checksum checks, retries and trace attribution stay per page),
+        and its covered slice is copied out under a pin when the pool is
+        thread-safe. Records never span pages, so the consumer may touch
+        other pages before asking for the next slice.
         """
         per_page = self.per_page
         size = self.record.size
-        iter_unpack = self.record.iter_unpack
         pool = self.pool
         pages = self.pages
         index = start
@@ -213,7 +219,7 @@ class _Region:
                     chunk = frame[lo:hi]
             else:
                 chunk = pool.get(page_id)[lo:hi]
-            yield from iter_unpack(chunk)
+            yield index, chunk
             index = end
 
     def write(self, index, *values):
@@ -1130,7 +1136,9 @@ class DiskSpineIndex:
         character label through the buffer pool — intended for tests,
         verification and small indexes, not the serving hot path)."""
         with self.pool.rwlock.read_locked():
-            codes = [c for (c,) in self._cl.iter_records(1, self._n + 1)]
+            # CL records are one byte: the slices are the codes.
+            codes = b"".join(chunk for _, chunk
+                             in self._cl.page_slices(1, self._n + 1))
         return self.alphabet.decode(codes)
 
     def vertebra_label(self, i):
@@ -1200,28 +1208,56 @@ class DiskSpineIndex:
     def iter_link_entries(self, lo, hi, min_lel, targets):
         """Yield ``(j, dest, LEL)`` for nodes ``lo < j <= hi`` with
         ``LEL >= min_lel`` and ``dest`` in ``targets`` (which may grow
-        between yields) — one strictly sequential Link-Table sweep
-        through the buffer pool (the access pattern the paper's
-        Figure 8 buffering argument is built on).
+        between yields, but only by nodes this generator has yielded)
+        — one strictly sequential Link-Table sweep through the buffer
+        pool (the access pattern the paper's Figure 8 buffering
+        argument is built on).
 
-        The sweep decodes a page of LT entries per pool lookup and
-        tests the LEL first: only an entry that qualifies and whose
-        destination was displaced into an RT row (negative ``ref``)
-        costs the extra RT row read.
+        The sweep decodes each LT page slice as arrays and tests the
+        LEL first: only an entry that qualifies and whose destination
+        was displaced into an RT row (negative ``ref``) costs the extra
+        RT row read, made while its page is the current one. Every
+        :data:`_SWEEP_PAGES` pages the qualifying entries go through
+        :func:`repro.core.search.reaching_entries` — one pointer-
+        doubling closure per window — which re-tests ``dest in
+        targets`` in ascending order over the survivors only.
         """
         n = min(hi, self._n)
+        per_page = self._lt.per_page
+        start = lo + 1
+        while start <= n:
+            stop = min((start // per_page + _SWEEP_PAGES) * per_page,
+                       n + 1)
+            columns = self._window_candidates(start, stop, min_lel)
+            if columns is not None:
+                yield from search.reaching_entries(*columns, targets)
+            start = stop
+
+    def _window_candidates(self, start, stop, min_lel):
+        """``(nodes, dests, LELs)`` arrays of the LT entries ``start <=
+        j < stop`` with ``LEL >= min_lel``, or ``None``: one pool lookup
+        per page, then that page's displaced destinations from their RT
+        rows, in ascending order."""
         rt = self._rt
-        j = lo
-        for ref, lel in self._lt.iter_records(lo + 1, n + 1):
-            j += 1
-            if lel < min_lel:
+        nodes, dests, lels = [], [], []
+        for first, chunk in self._lt.page_slices(start, stop):
+            entries = np.frombuffer(chunk, dtype=_LT_DTYPE)
+            keep = (entries["lel"] >= min_lel).nonzero()[0]
+            if not keep.size:
                 continue
-            if ref < 0:
-                ptr = -ref - 1
-                ref = rt[ptr >> _PTR_CLASS_SHIFT].read(
+            refs = entries["ref"][keep]
+            for k in (refs < 0).nonzero()[0].tolist():
+                ptr = -int(refs[k]) - 1
+                refs[k] = rt[ptr >> _PTR_CLASS_SHIFT].read(
                     ptr & _PTR_ROW_MASK)[0]
-            if ref in targets:
-                yield j, ref, lel
+            nodes.append(keep.astype(np.int32) + first)
+            dests.append(refs)
+            lels.append(entries["lel"][keep])
+        if not nodes:
+            return None
+        # int32/uint16 columns sized by the window's candidates.
+        return (np.concatenate(nodes), np.concatenate(dests),
+                np.concatenate(lels))
 
     def step(self, node, pathlength, code, _span=None):
         """Same contract as :meth:`SpineIndex.step`, via the pool.

@@ -4,7 +4,7 @@ import pytest
 
 from repro.alphabet import Alphabet, dna_alphabet
 from repro.core import SpineIndex, verify_index
-from repro.exceptions import ConstructionError, SearchError
+from repro.exceptions import AlphabetError, ConstructionError, SearchError
 
 
 class TestEmptyAndTiny:
@@ -52,6 +52,19 @@ class TestOnlineGrowth:
             index.append_code(99)
         with pytest.raises(ConstructionError):
             index.append_code(-1)
+
+    def test_rejected_extend_changes_nothing(self):
+        index = SpineIndex("ACGT")
+        before = SpineIndex("ACGT")
+        with pytest.raises(AlphabetError):
+            index.extend("ACXG")
+        with pytest.raises(AlphabetError):
+            index.append_char("X")
+        assert len(index) == 4
+        assert index.text == "ACGT"
+        assert index.structurally_equal(before)
+        index.extend("ACG")
+        assert index.find_all("ACG") == [0, 4]
 
     def test_growth_is_queryable_between_appends(self):
         index = SpineIndex(alphabet=Alphabet("ab"))
