@@ -56,8 +56,8 @@ class SearchCursor:
             return False
         code = self.index.alphabet.encode_char(ch)
         with self.index.read_locked():
-            nxt = self.index.step(self._node, self._length, code,
-                                  self._tracer.active)
+            nxt = search.step(self.index, self._node, self._length,
+                              code, self._tracer.active)
         if nxt is None:
             self._alive = False
             return False
@@ -154,7 +154,7 @@ class StreamMatcher:
         code = self.index.alphabet.encode_char(ch)
         prev_node, prev_length = self._node, self._length
         with self.index.read_locked():
-            hit = matching._extend_longest(
+            hit = matching._extend(
                 self.index, self._node, self._length, code,
                 self._result, self._tracer.active)
         event = None

@@ -339,9 +339,23 @@ class SpineIndex:
         return self._ribs.get(node * self._asize + code)
 
     def extrib_chain(self, node, code):
-        """The extrib chain ``[(dest, PT), ...]`` of the rib at ``node``
-        for ``code`` (empty when the rib has never been extended)."""
-        return list(self._extchains.get(node * self._asize + code, ()))
+        """The extrib chain ``(dest, PT), ...`` of the rib at ``node``
+        for ``code``, thresholds ascending (empty when the rib has never
+        been extended). Read-only: the index's own chain list."""
+        return self._extchains.get(node * self._asize + code, ())
+
+    def vertebra_run(self, node, codes, i):
+        """How many leading ``codes[i:]`` equal the vertebra labels
+        after ``node`` (0 at the tail)."""
+        labels = self._codes
+        shift = node + 1 - i
+        stop = i + self._n - node
+        if stop > len(codes):
+            stop = len(codes)
+        k = i
+        while k < stop and labels[k + shift] == codes[k]:
+            k += 1
+        return k - i
 
     def extrib_elements(self):
         """Every extrib as ``(located_at, dest, PT, PRT)``.
@@ -411,57 +425,6 @@ class SpineIndex:
             "ribs": len(self._ribs),
             "extribs": self.extrib_count,
         }
-
-    # ------------------------------------------------------------------
-    # traversal primitive
-    # ------------------------------------------------------------------
-
-    def step(self, node, pathlength, code, _span=None):
-        """One forward move of a valid path: from ``node`` after having
-        matched ``pathlength`` characters, consume ``code``.
-
-        Returns the destination node, or ``None`` when no valid edge
-        exists (Section 4 traversal rules: vertebras are always
-        traversable; a rib needs ``pathlength <= PT``; a failed rib falls
-        through to the first extrib-chain element with matching PRT and
-        ``PT >= pathlength``). ``_span`` is an active trace span
-        (:mod:`repro.obs.trace`); each edge decision is recorded on it.
-        """
-        if node < self._n and self._codes[node + 1] == code:
-            if _span is not None:
-                _span.vertebra(node)
-            return node + 1
-        key = node * self._asize + code
-        rib = self._ribs.get(key)
-        if rib is None:
-            if _span is not None:
-                _span.event("no-edge", node=node, code=code,
-                            pathlength=pathlength)
-            return None
-        d, pt = rib
-        if _span is not None:
-            _span.event("enter-rib", node=node, code=code, dest=d,
-                        pt=pt, pathlength=pathlength)
-        if pathlength <= pt:
-            if _span is not None:
-                _span.event("pt-accept", node=node, pt=pt,
-                            pathlength=pathlength, dest=d)
-            return d
-        if _span is not None:
-            _span.event("pt-reject", node=node, pt=pt,
-                        pathlength=pathlength)
-        for e_dest, e_pt in self._extchains.get(key, ()):
-            taken = e_pt >= pathlength
-            if _span is not None:
-                _span.event("extrib-fallthrough", node=node, pt=e_pt,
-                            pathlength=pathlength, dest=e_dest,
-                            taken=taken)
-            if taken:
-                return e_dest
-        if _span is not None:
-            _span.event("no-edge", node=node, code=code,
-                        pathlength=pathlength, exhausted="extribs")
-        return None
 
     # ------------------------------------------------------------------
     # queries (the engine in repro.core.search / repro.core.matching)

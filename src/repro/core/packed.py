@@ -18,7 +18,8 @@ index into the paper's optimized layout:
   charged in the space model);
 * **overflow table** — numeric labels that do not fit two bytes are
   stored out of line, with the in-row value acting as an overflow key
-  (Section 5.1's robustness mechanism).
+  (Section 5.1's robustness mechanism). PTs are kept full width here;
+  the space model charges the ones that overflow.
 
 The packed form is immutable and implements the same layer protocol as
 the reference index, so the one query engine answers on it; equivalence
@@ -41,6 +42,7 @@ import contextlib
 import numpy as np
 
 from repro.core import matching, search
+from repro.core.index import SpineIndex
 from repro.exceptions import ConstructionError, SearchError
 
 _UNLOCKED = contextlib.nullcontext()
@@ -87,17 +89,15 @@ class PackedSpineIndex:
         self.alphabet = None
         self._n = 0
         self._asize = 0
-        self._codes = None          # uint8, entry 0 is a sentinel
+        self._codes = None          # bytes, entry 0 is a sentinel
         self._lt_ref = None         # int64: >=0 link dest, <0 RT pointer
         self._lt_lel = None         # uint16 with overflow sentinel
         self._lel_overflow = {}     # node -> true LEL
-        self._pt_overflow = {}      # (class, row, slot) -> true PT
         self._tables = {}           # fanout class -> RibTable
         # Flat extrib region: the elements of one chain are contiguous,
         # thresholds ascending (located by RibTable.ext_off/ext_len).
         self._ext_dest = None       # int32 node ids
-        self._ext_pt = None         # int32 (full width; counted as 2B +
-        #                             overflow in the space model)
+        self._ext_pt = None         # int32 (full width, see above)
 
     # ------------------------------------------------------------------
     # compilation
@@ -116,8 +116,7 @@ class PackedSpineIndex:
         asize = index._asize
         packed._n = n
         packed._asize = asize
-        packed._codes = np.frombuffer(bytes(index._codes),
-                                      dtype=np.uint8).copy()
+        packed._codes = bytes(index._codes)
         lt_ref = np.array(index._link_dest, dtype=np.int64)
         lel_full = np.array(index._link_lel, dtype=np.int64)
         packed._lt_lel = np.where(
@@ -178,7 +177,7 @@ class PackedSpineIndex:
     @property
     def text(self):
         """The indexed string, decoded from the label region."""
-        return self.alphabet.decode(self._codes[1:].tolist())
+        return self.alphabet.decode(self._codes[1:])
 
     def _decode_ptr(self, ref):
         ptr = -ref - 1
@@ -261,86 +260,43 @@ class PackedSpineIndex:
         """Character code of the vertebra into node ``i`` (1-based)."""
         if not 1 <= i <= self._n:
             raise SearchError(f"vertebra {i} out of range")
-        return int(self._codes[i])
+        return self._codes[i]
+
+    def _slot(self, node, code):
+        """``(table, row, slot)`` of the rib for ``code``, or None."""
+        ref = int(self._lt_ref[node]) if 0 <= node <= self._n else 0
+        if ref >= 0:
+            return None
+        fanout, row = self._decode_ptr(ref)
+        table = self._tables[fanout]
+        for slot, slot_code in enumerate(table.codes[row].tolist()):
+            if slot_code == code:
+                return table, row, slot
+        return None
 
     def rib(self, node, code):
         """``(dest, PT)`` of the rib at ``node`` for ``code``, or None."""
-        return self.ribs_at(node).get(code)
+        hit = self._slot(node, code)
+        if hit is None:
+            return None
+        table, row, slot = hit
+        return int(table.dests[row, slot]), int(table.pts[row, slot])
 
     def extrib_chain(self, node, code):
-        """The extrib chain ``[(dest, PT), ...]`` of the rib at ``node``
-        for ``code`` (empty when the rib has never been extended)."""
-        ref = int(self._lt_ref[node]) if 0 <= node <= self._n else 0
-        if ref >= 0:
-            return []
-        fanout, row = self._decode_ptr(ref)
-        table = self._tables[fanout]
-        for slot in range(fanout):
-            if int(table.codes[row, slot]) != code:
-                continue
-            offset = int(table.ext_off[row, slot])
-            length = int(table.ext_len[row, slot])
-            return [(int(self._ext_dest[k]), int(self._ext_pt[k]))
-                    for k in range(offset, offset + length)]
-        return []
+        """The extrib chain ``(dest, PT), ...`` of the rib at ``node``
+        for ``code``, thresholds ascending (empty when the rib has never
+        been extended)."""
+        hit = self._slot(node, code)
+        if hit is None:
+            return ()
+        table, row, slot = hit
+        lo = int(table.ext_off[row, slot])
+        hi = lo + int(table.ext_len[row, slot])
+        return zip(self._ext_dest[lo:hi].tolist(),
+                   self._ext_pt[lo:hi].tolist())
 
-    # ------------------------------------------------------------------
-    # traversal
-    # ------------------------------------------------------------------
-
-    def step(self, node, pathlength, code, _span=None):
-        """Identical contract to :meth:`SpineIndex.step` (``_span`` is
-        an active trace span collecting the edge decisions)."""
-        if node < self._n and self._codes[node + 1] == code:
-            if _span is not None:
-                _span.vertebra(node)
-            return node + 1
-        ref = int(self._lt_ref[node])
-        if ref >= 0:
-            if _span is not None:
-                _span.event("no-edge", node=node, code=int(code),
-                            pathlength=pathlength)
-            return None
-        fanout, row = self._decode_ptr(ref)
-        table = self._tables[fanout]
-        codes = table.codes[row]
-        for slot in range(fanout):
-            if codes[slot] != code:
-                continue
-            dest = int(table.dests[row, slot])
-            pt = int(table.pts[row, slot])
-            if _span is not None:
-                _span.event("enter-rib", node=node, code=int(code),
-                            dest=dest, pt=pt, pathlength=pathlength)
-            if pathlength <= pt:
-                if _span is not None:
-                    _span.event("pt-accept", node=node, pt=pt,
-                                pathlength=pathlength, dest=dest)
-                return dest
-            if _span is not None:
-                _span.event("pt-reject", node=node, pt=pt,
-                            pathlength=pathlength)
-            offset = int(table.ext_off[row, slot])
-            length = int(table.ext_len[row, slot])
-            ext_pt = self._ext_pt
-            for k in range(offset, offset + length):
-                e_pt = int(ext_pt[k])
-                e_dest = int(self._ext_dest[k])
-                taken = e_pt >= pathlength
-                if _span is not None:
-                    _span.event("extrib-fallthrough", node=node,
-                                pt=e_pt, pathlength=pathlength,
-                                dest=e_dest, taken=taken)
-                if taken:
-                    return e_dest
-            if _span is not None:
-                _span.event("no-edge", node=node, code=int(code),
-                            pathlength=pathlength, exhausted="extribs")
-            return None
-        if _span is not None:
-            _span.event("no-edge", node=node, code=int(code),
-                        pathlength=pathlength)
-        return None
+    # The label bytes and ``_n`` mean what they mean in the reference.
+    vertebra_run = SpineIndex.vertebra_run
 
     # ------------------------------------------------------------------
     # queries (the engine in repro.core.search / repro.core.matching)
@@ -396,7 +352,10 @@ class PackedSpineIndex:
                 + (fanout * bits + 7) // 8
             rt += rows * per_row
         ext = len(self._ext_dest) * (POINTER_BYTES + 2 * SHORT_LABEL_BYTES)
-        overflow = (len(self._lel_overflow) + len(self._pt_overflow)) * 4
+        pt_overflow = int((self._ext_pt >= OVERFLOW_SENTINEL).sum()) + sum(
+            int((table.pts >= OVERFLOW_SENTINEL).sum())
+            for table in self._tables.values())
+        overflow = (len(self._lel_overflow) + pt_overflow) * 4
         total = lt + cl + rt + ext + overflow
         return {
             "link_table": lt,

@@ -15,7 +15,8 @@ single-pattern :func:`find_all` is one registration with it.
 Every verb here serves all three traversal layers — the reference
 :class:`~repro.core.index.SpineIndex`, the packed layout and the
 page-resident disk index — through the narrow layer protocol of
-``docs/api.md`` ("Layer protocol"). Metric and span names carry the
+``docs/api.md`` ("Layer protocol"), and the edge rule is written once,
+in :func:`step`. Metric and span names carry the
 layer's ``NAME_PREFIX`` (``""``, ``"packed."``, ``"disk."``). Every verb
 takes an optional snapshot ``limit`` — answer against the prefix of
 that length (Section 2.7) — and an optional
@@ -33,39 +34,118 @@ from repro.obs import get_registry
 from repro.obs.trace import get_tracer
 
 
+def step(index, node, pathlength, code, span=None):
+    """One forward move of a valid path: from ``node`` after having
+    matched ``pathlength`` characters, consume ``code``.
+
+    Returns the destination node, or ``None`` when no valid edge exists
+    (Section 4): a vertebra is always traversable, a rib needs
+    ``pathlength <= PT``, and a failed rib falls through to the first
+    element of its extrib chain with ``PT >= pathlength``. ``span`` is
+    an active trace span (:mod:`repro.obs.trace`); each edge decision
+    is recorded on it. The caller holds the layer's read lock.
+
+    On the paper's ``aaccacaaca``, ``accaa`` dies at node 5, whose rib
+    for ``a`` has PT 2 < pathlength 4, while ``acaa`` takes the extrib
+    with PT 2 out of node 3:
+
+    >>> from repro.core import SpineIndex
+    >>> idx = SpineIndex("aaccacaaca")
+    >>> a = idx.alphabet.encode_char("a")
+    >>> step(idx, 5, 4, a) is None
+    True
+    >>> step(idx, 3, 2, a)
+    7
+    """
+    if index.vertebra_run(node, (code,), 0):
+        if span is not None:
+            span.vertebra(node)
+        return node + 1
+    return _edge(index, node, pathlength, code, span)[0]
+
+
+def _edge(index, node, pathlength, code, span):
+    """The rib/extrib half of :func:`step`, for a ``node`` whose
+    vertebra does not carry ``code``: ``(dest or None, rejected)``, with
+    ``rejected`` the last ``(dest, PT)`` whose PT was below
+    ``pathlength`` (or ``None``)."""
+    rib = index.rib(node, code)
+    if rib is None:
+        if span is not None:
+            span.event("no-edge", node=node, code=code,
+                       pathlength=pathlength)
+        return None, None
+    dest, pt = rib
+    if span is not None:
+        span.event("enter-rib", node=node, code=code, dest=dest, pt=pt,
+                   pathlength=pathlength)
+    if pathlength <= pt:
+        if span is not None:
+            span.event("pt-accept", node=node, pt=pt,
+                       pathlength=pathlength, dest=dest)
+        return dest, None
+    if span is not None:
+        span.event("pt-reject", node=node, pt=pt, pathlength=pathlength)
+    rejected = rib
+    for e_dest, e_pt in index.extrib_chain(node, code):
+        taken = e_pt >= pathlength
+        if span is not None:
+            span.event("extrib-fallthrough", node=node, pt=e_pt,
+                       pathlength=pathlength, dest=e_dest, taken=taken)
+        if taken:
+            return e_dest, rejected
+        rejected = e_dest, e_pt
+    if span is not None:
+        span.event("no-edge", node=node, code=code,
+                   pathlength=pathlength, exhausted="extribs")
+    return None, rejected
+
+
 def find_first_end(index, codes, limit=None, cancel=None, span=None,
                    metrics=None):
     """End node of the first occurrence of ``codes`` within the prefix
     of length ``limit`` (default: the whole index), or ``None``.
 
     ``codes`` is a sequence of alphabet codes; the empty sequence ends
-    at the root (node 0). A step landing beyond ``limit`` is a dead
-    end: by Section 2.7 that edge does not exist in the prefix
-    sub-index (edges planted after character ``limit`` always point
-    past it). ``cancel`` is checkpointed once per step (an amortized
-    integer decrement — see :mod:`repro.resilience.deadline`). ``span``
-    is an active trace span collecting every edge decision
-    (:mod:`repro.obs.trace`); ``metrics`` is an enabled registry that
-    receives one bulk ``search.steps`` update per call, never one per
-    character.
+    at the root (node 0); vertebras are consumed a run at a time. A
+    step landing beyond ``limit`` is a dead end: by Section 2.7 that
+    edge does not exist in the prefix sub-index (edges planted after
+    character ``limit`` always point past it). ``cancel`` is
+    checkpointed once per run or edge (an amortized integer decrement —
+    see :mod:`repro.resilience.deadline`). ``span`` is an active trace
+    span collecting every edge decision (:mod:`repro.obs.trace`);
+    ``metrics`` is an enabled registry that receives one bulk
+    ``search.steps`` update (characters consumed) per call, never one
+    per character.
     """
     if limit is None:
         limit = len(index)
-    step = index.step
+    vertebra_run = index.vertebra_run
     checkpoint = None if cancel is None else cancel.checkpoint
+    m = len(codes)
     node = 0
-    steps = len(codes)
-    for pathlength, code in enumerate(codes):
+    i = 0
+    while i < m:
         if checkpoint is not None:
             checkpoint()
-        node = step(node, pathlength, code, span)
+        run = vertebra_run(node, codes, i)
+        if run:
+            if node + run > limit:
+                # The run dies on the vertebra into node limit + 1.
+                run = limit + 1 - node
+            if span is not None:
+                span.vertebra(node, run)
+            node += run
+            i += run
+            if i == m or node > limit:
+                break
+        node = _edge(index, node, i, codes[i], span)[0]
+        i += 1
         if node is None or node > limit:
-            node = None
-            steps = pathlength + 1
             break
     if metrics is not None:
-        metrics.counter(index.NAME_PREFIX + "search.steps").inc(steps)
-    return node
+        metrics.counter(index.NAME_PREFIX + "search.steps").inc(i)
+    return None if node is None or node > limit else node
 
 
 def _lookup(verb, index, pattern, limit, cancel, scan):
@@ -340,17 +420,20 @@ def trace_path(index, pattern):
     """The node sequence of the valid path spelling ``pattern``.
 
     Returns the list of visited nodes starting at the root, or ``None``
-    if the pattern has no valid path (i.e. is not a substring). Useful
-    for debugging and for the paper's Figure 3 walk-throughs.
+    if the pattern has no valid path (i.e. is not a substring — a
+    character outside the alphabet included). Useful for debugging and
+    for the paper's Figure 3 walk-throughs.
     """
-    codes = index.alphabet.encode(pattern)
-    node = 0
+    codes = index.alphabet.try_encode(pattern)
+    if codes is None:
+        return None
     nodes = [0]
-    for pathlength, code in enumerate(codes):
-        node = index.step(node, pathlength, code)
-        if node is None:
-            return None
-        nodes.append(node)
+    with index.read_locked():
+        for pathlength, code in enumerate(codes):
+            node = step(index, nodes[-1], pathlength, code)
+            if node is None:
+                return None
+            nodes.append(node)
     return nodes
 
 

@@ -155,7 +155,7 @@ def _verify_linear_generic(index, layer):
         next_label = index.vertebra_label(node + 1) if node < n else None
         for code, (dest, pt) in sorted(ribs.items()):
             _check_rib(node, code, dest, pt, n, next_label, layer)
-            chain = index.extrib_chain(node, code)
+            chain = list(index.extrib_chain(node, code))
             if chain:
                 _check_chain(dest, pt, chain, n, layer, events)
     _check_placement(events, layer)
@@ -307,7 +307,7 @@ def _verify_sharded(index, deep=False, max_deep_length=400):
 
 # ----------------------------------------------------------------------
 # deep (oracle) checks — layer-generic already: only ``text``, ``link``
-# and ``step`` are consulted
+# and the engine's traversal are consulted
 # ----------------------------------------------------------------------
 
 def _verify_links_deep(index, layer):

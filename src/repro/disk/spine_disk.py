@@ -901,34 +901,11 @@ class DiskSpineIndex:
             raise ConstructionError("RT row id overflow")
         return (fanout << _PTR_CLASS_SHIFT) | row
 
-    def _row_slots(self, fanout, row):
-        """``(ld, [(code, dest, pt, chain_head), ...])`` for a row."""
-        flat = self._rt[fanout].read(row)
-        ld = flat[0]
-        slots = [tuple(flat[1 + i * _SLOT_INTS:1 + (i + 1) * _SLOT_INTS])
-                 for i in range(fanout)]
-        return ld, slots
-
     def _alloc_row(self, fanout):
         free = self._rt_free[fanout]
         if free:
             return free.pop()
         return self._rt[fanout].count
-
-    def _find_slot(self, rt_ptr, code):
-        """Probe the node's RT row for ``code``; one page touch.
-
-        Returns ``(fanout, row, slot_index, dest, pt, chain_head)`` or
-        ``None``.
-        """
-        if rt_ptr == -1:
-            return None
-        fanout, row = self._decode_ptr(rt_ptr)
-        _, slots = self._row_slots(fanout, row)
-        for idx, (s_code, dest, pt, chead) in enumerate(slots):
-            if s_code == code:
-                return fanout, row, idx, dest, pt, chead
-        return None
 
     def _add_rib(self, node, node_dest, node_lel, rt_ptr, flat, code,
                  dest, pt):
@@ -1147,38 +1124,63 @@ class DiskSpineIndex:
             raise SearchError(f"vertebra {i} out of range")
         return self._cl.read(i)[0]
 
-    def ribs_at(self, node):
-        """Dict ``code -> (dest, PT)`` at ``node`` (mirrors the
-        reference index; one RT row read)."""
+    def _rt_row(self, node):
+        """The decoded RT row of ``node`` — its displaced link
+        destination, then ``code, dest, PT, chain head`` per rib — or
+        ``()`` when it has no ribs: one LT entry and one RT row read."""
         if not 0 <= node <= self._n:
-            return {}
+            return ()
         ref = self._lt.read(node)[0]
         if ref >= 0:
-            return {}
+            return ()
         fanout, row = self._decode_ptr(-ref - 1)
-        _, slots = self._row_slots(fanout, row)
-        return {code: (dest, pt) for code, dest, pt, _ in slots}
+        return self._rt[fanout].read(row)
+
+    def _find_slot(self, node, code):
+        """``(dest, PT, chain head)`` of the rib at ``node`` for
+        ``code``, or ``None``."""
+        flat = self._rt_row(node)
+        for i in range(1, len(flat), _SLOT_INTS):
+            if flat[i] == code:
+                return flat[i + 1:i + 4]
+        return None
+
+    def ribs_at(self, node):
+        """Dict ``code -> (dest, PT)`` at ``node`` (mirrors the
+        reference index)."""
+        flat = self._rt_row(node)
+        return {flat[i]: (flat[i + 1], flat[i + 2])
+                for i in range(1, len(flat), _SLOT_INTS)}
 
     def rib(self, node, code):
         """``(dest, PT)`` of the rib at ``node`` for ``code``, or None."""
-        return self.ribs_at(node).get(code)
+        hit = self._find_slot(node, code)
+        return None if hit is None else hit[:2]
 
     def extrib_chain(self, node, code):
-        """The extrib chain ``[(dest, PT), ...]`` of the rib at ``node``
-        for ``code`` (empty when the rib has never been extended)."""
-        if not 0 <= node <= self._n:
-            return []
-        ref = self._lt.read(node)[0]
-        hit = self._find_slot(-ref - 1 if ref < 0 else -1, code)
-        if hit is None:
-            return []
-        chain = []
-        eid = hit[5]
+        """The extrib chain ``(dest, PT), ...`` of the rib at ``node``
+        for ``code``, thresholds ascending (empty when the rib has never
+        been extended). A generator: each element's EXT record is read
+        only when the consumer asks for it."""
+        hit = self._find_slot(node, code)
+        eid = -1 if hit is None else hit[2]
         while eid != -1:
-            e_dest, e_pt, e_next = self._ext.read(eid)
-            chain.append((e_dest, e_pt))
-            eid = e_next
-        return chain
+            e_dest, e_pt, eid = self._ext.read(eid)
+            yield e_dest, e_pt
+
+    def vertebra_run(self, node, codes, i):
+        """How many leading ``codes[i:]`` equal the vertebra labels
+        after ``node`` (0 at the tail): one pool lookup per CL page
+        slice, and no page past the first mismatch."""
+        stop = node + 1 + min(len(codes) - i, self._n - node)
+        run = 0
+        # CL records are one byte: a page slice is the labels.
+        for _, labels in self._cl.page_slices(node + 1, stop):
+            for label in labels:
+                if label != codes[i + run]:
+                    return run
+                run += 1
+        return run
 
     def enable_concurrent_reads(self):
         """Make the read path safe for parallel query threads.
@@ -1258,56 +1260,6 @@ class DiskSpineIndex:
         # int32/uint16 columns sized by the window's candidates.
         return (np.concatenate(nodes), np.concatenate(dests),
                 np.concatenate(lels))
-
-    def step(self, node, pathlength, code, _span=None):
-        """Same contract as :meth:`SpineIndex.step`, via the pool.
-
-        With an active trace span (``_span``), edge decisions are
-        recorded; the buffer pool independently attributes any page
-        faults these record reads cause to the same span.
-        """
-        if node < self._n and self._cl.read(node + 1)[0] == code:
-            if _span is not None:
-                _span.vertebra(node)
-            return node + 1
-        if node <= self._n:
-            ref = self._lt.read(node)[0]
-            rt_ptr = -ref - 1 if ref < 0 else -1
-        else:
-            rt_ptr = -1
-        hit = self._find_slot(rt_ptr, code)
-        if hit is None:
-            if _span is not None:
-                _span.event("no-edge", node=node, code=code,
-                            pathlength=pathlength)
-            return None
-        _, _, _, d, pt, chead = hit
-        if _span is not None:
-            _span.event("enter-rib", node=node, code=code, dest=d,
-                        pt=pt, pathlength=pathlength)
-        if pathlength <= pt:
-            if _span is not None:
-                _span.event("pt-accept", node=node, pt=pt,
-                            pathlength=pathlength, dest=d)
-            return d
-        if _span is not None:
-            _span.event("pt-reject", node=node, pt=pt,
-                        pathlength=pathlength)
-        eid = chead
-        while eid != -1:
-            e_dest, e_pt, e_next = self._ext.read(eid)
-            taken = e_pt >= pathlength
-            if _span is not None:
-                _span.event("extrib-fallthrough", node=node, pt=e_pt,
-                            pathlength=pathlength, dest=e_dest,
-                            taken=taken)
-            if taken:
-                return e_dest
-            eid = e_next
-        if _span is not None:
-            _span.event("no-edge", node=node, code=code,
-                        pathlength=pathlength, exhausted="extribs")
-        return None
 
     def contains(self, pattern):
         """True iff ``pattern`` occurs in the indexed string."""

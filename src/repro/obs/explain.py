@@ -6,10 +6,11 @@ rib falls through to the first extrib-chain element with ``PT >=
 pathlength``, and a pattern is a substring exactly when a valid path
 exists. When a query misbehaves, the question is always *which*
 comparison fired. This module replays one pattern through an index —
-any of the three traversal layers (``step``-bearing:
-:class:`~repro.core.index.SpineIndex`,
+any of the three traversal layers
+(:class:`~repro.core.index.SpineIndex`,
 :class:`~repro.core.packed.PackedSpineIndex`,
-:class:`~repro.disk.spine_disk.DiskSpineIndex`) — under a private,
+:class:`~repro.disk.spine_disk.DiskSpineIndex`), one
+:func:`repro.core.search.step` per character — under a private,
 non-coalescing tracer and renders a step-by-step account with the PT
 vs. pathlength arithmetic spelled out at every decision point.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.search import step
 from repro.obs.trace import Tracer, set_tracer
 
 __all__ = ["ExplainStep", "Explanation", "explain_pattern"]
@@ -221,23 +223,24 @@ def explain_pattern(index, pattern, with_occurrences=True):
         node = 0
         steps = []
         matched = True
-        for i, code in enumerate(codes):
-            before = len(span.events)
-            nxt = index.step(node, i, code, span)
-            slice_ = span.events[before:]
-            steps.append(ExplainStep(
-                position=i + 1,
-                char=pattern[i],
-                node=node,
-                pathlength=i,
-                outcome=_classify(slice_, nxt),
-                dest=nxt,
-                events=slice_,
-            ))
-            if nxt is None:
-                matched = False
-                break
-            node = nxt
+        with index.read_locked():
+            for i, code in enumerate(codes):
+                before = len(span.events)
+                nxt = step(index, node, i, code, span)
+                slice_ = span.events[before:]
+                steps.append(ExplainStep(
+                    position=i + 1,
+                    char=pattern[i],
+                    node=node,
+                    pathlength=i,
+                    outcome=_classify(slice_, nxt),
+                    dest=nxt,
+                    events=slice_,
+                ))
+                if nxt is None:
+                    matched = False
+                    break
+                node = nxt
         tracer.finish(span, status="hit" if matched else "miss")
     finally:
         set_tracer(previous)

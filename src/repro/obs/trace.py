@@ -94,15 +94,19 @@ class Span:
         fields["type"] = etype
         self.events.append(fields)
 
-    def vertebra(self, node):
-        """Record one vertebra step out of ``node`` (coalescing)."""
+    def vertebra(self, node, count=1):
+        """Record ``count`` vertebra steps out of ``node`` (coalescing
+        unless :attr:`coalesce` is off: then one event per step)."""
         events = self.events
-        if self.coalesce and events \
-                and events[-1]["type"] == "vertebra-run":
-            events[-1]["count"] += 1
+        if not self.coalesce:
+            events.extend({"type": "vertebra-run", "start": start,
+                           "count": 1}
+                          for start in range(node, node + count))
+        elif events and events[-1]["type"] == "vertebra-run":
+            events[-1]["count"] += count
         else:
             events.append({"type": "vertebra-run", "start": node,
-                           "count": 1})
+                           "count": count})
 
     def set(self, **attrs):
         """Merge attributes (occurrence counts, scan lengths, ...)."""
@@ -141,7 +145,7 @@ class _NullSpan:
     def event(self, etype, **fields):
         pass
 
-    def vertebra(self, node):
+    def vertebra(self, node, count=1):
         pass
 
     def set(self, **attrs):

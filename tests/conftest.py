@@ -1,6 +1,7 @@
 """Shared fixtures and oracles for the test suite."""
 
 import random
+from contextlib import contextmanager
 
 import pytest
 
@@ -48,3 +49,54 @@ def all_substrings(text, max_len=None):
         for j in range(i + 1, stop + 1):
             out.add(text[i:j])
     return out
+
+
+@contextmanager
+def three_layers(text, **disk_options):
+    """``{"memory": ..., "packed": ..., "disk": ...}`` indexes of
+    ``text`` over the DNA alphabet; the disk index is closed on exit."""
+    from repro.alphabet import dna_alphabet
+    from repro.core import SpineIndex
+    from repro.core.packed import PackedSpineIndex
+    from repro.disk.spine_disk import DiskSpineIndex
+
+    memory = SpineIndex(text, alphabet=dna_alphabet())
+    disk = DiskSpineIndex(alphabet=dna_alphabet(), **disk_options)
+    try:
+        disk.extend(text)
+        yield {"memory": memory,
+               "packed": PackedSpineIndex.from_index(memory),
+               "disk": disk}
+    finally:
+        disk.close()
+
+
+def lock_checked_index(text):
+    """A ``SpineIndex`` of ``text`` whose traversal accessors fail
+    unless called inside its (non-reentrant) ``read_locked()``."""
+    from repro.core import SpineIndex
+
+    class LockChecked(SpineIndex):
+        held = False
+        #: Times the read lock was taken.
+        entries = 0
+
+        @contextmanager
+        def read_locked(self):
+            assert not self.held, "read lock taken twice"
+            self.held = True
+            self.entries += 1
+            try:
+                yield
+            finally:
+                self.held = False
+
+        def vertebra_run(self, node, codes, i):
+            assert self.held, "vertebra_run outside the read lock"
+            return super().vertebra_run(node, codes, i)
+
+        def rib(self, node, code):
+            assert self.held, "rib outside the read lock"
+            return super().rib(node, code)
+
+    return LockChecked(text)

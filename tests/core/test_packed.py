@@ -30,20 +30,6 @@ class TestEquivalence:
         for node in range(len(index) + 1):
             assert packed.ribs_at(node) == index.ribs_at(node)
 
-    def test_step_identical_on_probes(self, pair):
-        index, packed = pair
-        text = index.text
-        for start in range(0, len(text) - 30, 257):
-            node, length = 0, 0
-            for ch in text[start:start + 30]:
-                code = index.alphabet.encode_char(ch)
-                a = index.step(node, length, code)
-                b = packed.step(node, length, code)
-                assert a == b
-                if a is None:
-                    break
-                node, length = a, length + 1
-
     def test_find_all_identical(self, pair):
         index, packed = pair
         text = index.text
@@ -134,6 +120,22 @@ class TestEdgeCases:
         index._link_lel[-1] = OVERFLOW_SENTINEL + 5
         packed = PackedSpineIndex.from_index(index)
         assert packed.link(len(index))[1] == OVERFLOW_SENTINEL + 5
+
+    def test_wide_pt_charged_to_overflow_table(self):
+        # The middle copy of x repeats the first, so a rib planted
+        # after it carries PT 70000, which does not fit two bytes.
+        x = generate_dna(70000, seed=3)
+        index = SpineIndex(x + "T" + x + "G" + x, alphabet=dna_alphabet())
+        pts = [pt for _, pt in index._ribs.values()]
+        pts += [pt for chain in index._extchains.values()
+                for _, pt in chain]
+        wide_pts = sum(pt >= OVERFLOW_SENTINEL for pt in pts)
+        assert 70000 in pts
+        wide_lels = sum(lel >= OVERFLOW_SENTINEL
+                        for lel in index._link_lel)
+        packed = PackedSpineIndex.from_index(index)
+        assert packed.measured_bytes()["overflow_table"] == \
+            (wide_lels + wide_pts) * 4
 
     def test_repr(self, pair):
         _, packed = pair

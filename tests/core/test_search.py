@@ -5,9 +5,10 @@ import pytest
 from repro.core import (
     OccurrenceScanner, SpineIndex, find_all, find_first, is_valid_path,
     trace_path)
-from repro.core.search import find_first_end
+from repro.core.search import find_first_end, step
 from repro.exceptions import SearchError
-from tests.conftest import brute_occurrences
+from tests.conftest import (
+    PAPER_STRING, brute_occurrences, lock_checked_index, three_layers)
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +109,18 @@ class TestPathTracing:
         idx = SpineIndex("aaccacaaca")
         assert trace_path(idx, "accaa") is None
 
+    def test_foreign_character_is_not_a_path(self, paper_layers):
+        for idx in paper_layers.values():
+            assert trace_path(idx, "ACXG") is None
+            assert idx.contains("ACXG") is False
+            assert trace_path(idx, "ACAA") == [0, 1, 3, 7, 8]
+
+    def test_walks_under_the_read_lock(self):
+        idx = lock_checked_index(PAPER_STRING)
+        assert trace_path(idx, "acaa") == [0, 1, 3, 7, 8]
+        assert trace_path(idx, "accaa") is None
+        assert idx.entries == 2
+
     def test_is_valid_path_equals_substring(self):
         idx = SpineIndex("aaccacaaca")
         text = idx.text
@@ -115,28 +128,38 @@ class TestPathTracing:
             assert is_valid_path(idx, pattern) == (pattern in text)
 
 
+@pytest.fixture(scope="module")
+def paper_layers():
+    with three_layers(PAPER_STRING) as layers:
+        yield layers
+
+
 class TestStep:
-    def test_vertebra_always_traversable(self):
-        idx = SpineIndex("aaccacaaca")
-        # Vertebra from node 0 labeled 'a' at any path length.
-        code_a = idx.alphabet.encode_char("a")
-        assert idx.step(0, 0, code_a) == 1
+    """``search.step`` — the one edge rule — on the paper's example,
+    identically on every layer."""
 
-    def test_rib_threshold_enforced(self):
-        idx = SpineIndex("aaccacaaca")
-        code_a = idx.alphabet.encode_char("a")
-        # Rib at node 5 has PT 2: pathlength 2 passes, 3 falls through
-        # to the (absent) chain and fails.
-        assert idx.step(5, 2, code_a) == 8
-        assert idx.step(5, 3, code_a) is None
+    def test_vertebra_always_traversable(self, paper_layers):
+        for idx in paper_layers.values():
+            # Vertebra from node 0 labeled 'a' at any path length.
+            code_a = idx.alphabet.encode_char("a")
+            assert step(idx, 0, 0, code_a) == 1
+            assert step(idx, 0, 7, code_a) == 1
 
-    def test_extrib_fallthrough(self):
-        idx = SpineIndex("aaccacaaca")
-        code_a = idx.alphabet.encode_char("a")
-        # Rib at node 3 (PT 1) fails at pathlength 2; its first extrib
-        # (PT 2) covers it and leads to node 7.
-        assert idx.step(3, 2, code_a) == 7
-        # Pathlength 3 is covered by the second chain element.
-        assert idx.step(3, 3, code_a) == 10
-        # Pathlength 4 exceeds the whole chain.
-        assert idx.step(3, 4, code_a) is None
+    def test_rib_threshold_enforced(self, paper_layers):
+        for idx in paper_layers.values():
+            code_a = idx.alphabet.encode_char("a")
+            # Rib at node 5 has PT 2: pathlength 2 passes, 3 falls
+            # through to the (absent) chain and fails.
+            assert step(idx, 5, 2, code_a) == 8
+            assert step(idx, 5, 3, code_a) is None
+
+    def test_extrib_fallthrough(self, paper_layers):
+        for idx in paper_layers.values():
+            code_a = idx.alphabet.encode_char("a")
+            # Rib at node 3 (PT 1) fails at pathlength 2; its first
+            # extrib (PT 2) covers it and leads to node 7.
+            assert step(idx, 3, 2, code_a) == 7
+            # Pathlength 3 is covered by the second chain element.
+            assert step(idx, 3, 3, code_a) == 10
+            # Pathlength 4 exceeds the whole chain.
+            assert step(idx, 3, 4, code_a) is None

@@ -693,8 +693,8 @@ def assert_same_structure(dsk, mem):
         ribs = mem.ribs_at(i)
         assert dsk.ribs_at(i) == ribs, i
         for code in ribs:
-            assert dsk.extrib_chain(i, code) == \
-                mem.extrib_chain(i, code), (i, code)
+            assert list(dsk.extrib_chain(i, code)) == \
+                list(mem.extrib_chain(i, code)), (i, code)
 
 
 TINY_POOL = dict(buffer_pages=4, page_size=256)

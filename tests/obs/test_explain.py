@@ -14,6 +14,7 @@ import pytest
 from repro.core.index import SpineIndex
 from repro.obs.explain import explain_pattern
 from repro.obs.trace import get_tracer
+from tests.conftest import lock_checked_index, three_layers
 
 PAPER = "aaccacaaca"
 
@@ -66,6 +67,30 @@ class TestPaperDecisions:
         assert not ex.matched
         assert ex.steps[-1].outcome == "rejected"
         assert "no edge" in ex.text
+
+
+class TestEveryLayer:
+    def test_paper_decisions_agree_on_every_layer(self):
+        decisions = TestPaperDecisions()
+        checks = [getattr(decisions, name) for name in dir(decisions)
+                  if name.startswith("test_")]
+        with three_layers(PAPER) as layers:
+            for idx in layers.values():
+                for check in checks:
+                    check(idx)
+            for pattern in ("accaa", "acaa", "caca", "aac", "ccc"):
+                edges = {
+                    name: [e for e in explain_pattern(idx, pattern)
+                           .span.events if e["type"] != "page-fetch"]
+                    for name, idx in layers.items()}
+                assert edges["memory"] == edges["packed"] \
+                    == edges["disk"], pattern
+
+    def test_walks_under_the_read_lock(self):
+        idx = lock_checked_index(PAPER)
+        assert explain_pattern(idx, "acaa").matched
+        # Once for the walk, once for the occurrence scan.
+        assert idx.entries == 2
 
 
 class TestMechanics:

@@ -25,17 +25,20 @@ class TestSpan:
             span.vertebra(node)
         span.event("enter-rib", node=3)
         span.vertebra(5)
+        span.vertebra(6, 4)
         assert span.events == [
             {"type": "vertebra-run", "start": 0, "count": 3},
             {"type": "enter-rib", "node": 3},
-            {"type": "vertebra-run", "start": 5, "count": 1},
+            {"type": "vertebra-run", "start": 5, "count": 5},
         ]
 
     def test_vertebra_without_coalescing(self):
         span = Span(1, "op", coalesce=False)
         span.vertebra(0)
-        span.vertebra(1)
-        assert len(span.events) == 2
+        span.vertebra(1, 2)
+        assert span.events == [
+            {"type": "vertebra-run", "start": node, "count": 1}
+            for node in (0, 1, 2)]
 
     def test_to_dict_shape(self):
         span = Span(7, "search", attrs={"pattern": "ac"})

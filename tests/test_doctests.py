@@ -8,11 +8,13 @@ import repro.alphabet
 import repro.core.cursor
 import repro.core.generalized
 import repro.core.index
+import repro.core.search
 import repro.store.document
 
 
 @pytest.mark.parametrize("module", [
     repro.core.index,
+    repro.core.search,
     repro.core.generalized,
     repro.core.cursor,
     repro.alphabet,
