@@ -50,12 +50,20 @@ import contextlib
 import time
 from array import array
 
+import numpy as np
+
 from repro.alphabet import alphabet_for, dna_alphabet
 from repro.core import search
 from repro.exceptions import ConstructionError, SearchError
 from repro.obs import get_registry
 
 _UNLOCKED = contextlib.nullcontext()
+
+#: Backbone positions the link scan copies and decides per pointer-
+#: doubling closure: bounds the sweep's temporaries whatever the range.
+#: On a 200k-char index a full sweep is as fast as with 32k windows,
+#: which raised peak RSS by ~1 MiB more.
+_SCAN_WINDOW = 1 << 14
 
 
 class SpineIndex:
@@ -395,16 +403,33 @@ class SpineIndex:
         """Yield ``(j, dest, LEL)`` for backbone nodes ``lo < j <= hi``
         whose LEL is at least ``min_lel`` and whose link destination is
         in ``targets`` — the downstream-scan primitive of
-        :class:`~repro.core.search.OccurrenceScanner`.
+        :class:`~repro.core.search.OccurrenceScanner`. ``targets`` may
+        grow between yields, but only by nodes this generator has
+        yielded.
 
-        Membership is tested lazily, entry by entry, so the caller may
-        grow ``targets`` between yields.
+        The range is swept :data:`_SCAN_WINDOW` positions at a time.
+        Each window copies its slice of the link arrays (a copy, so a
+        suspended sweep exports no buffer and a concurrent
+        :meth:`append_code` can still grow them), selects the entries
+        whose LEL reaches the floor, and hands them to
+        :func:`repro.core.search.reaching_entries` — the pointer-
+        doubling closure the packed and disk layers share — which
+        re-tests ``dest in targets`` in ascending order over the
+        entries whose link chain reaches a target, so the yielded
+        sequence is the per-entry scan's.
         """
-        link_dest = self._link_dest
-        link_lel = self._link_lel
-        for j in range(lo + 1, min(hi, self._n) + 1):
-            if link_lel[j] >= min_lel and link_dest[j] in targets:
-                yield j, link_dest[j], link_lel[j]
+        n = min(hi, self._n)
+        start = lo + 1
+        while start <= n:
+            stop = min(start + _SCAN_WINDOW, n + 1)
+            lel = np.frombuffer(self._link_lel[start:stop], dtype=np.intc)
+            cand = (lel >= min_lel).nonzero()[0]
+            if cand.size:
+                dest = np.frombuffer(self._link_dest[start:stop],
+                                     dtype=np.intc)
+                yield from search.reaching_entries(
+                    cand + start, dest[cand], lel[cand], targets)
+            start = stop
 
     def ribs_at(self, node):
         """Dict ``code -> (dest, PT)`` of all ribs at ``node``."""

@@ -30,9 +30,9 @@ The link scan (:meth:`PackedSpineIndex.iter_link_entries`, Section 4)
 is vectorized. It selects the candidates (LEL at or above the floor)
 and gathers their destinations in array passes, then hands them to
 :func:`repro.core.search.reaching_entries` — the pointer-doubling
-closure the disk sweep shares — which keeps only the candidates whose
-link chain reaches a target and re-tests those in ascending order, so
-the yielded sequence is the per-entry scan's.
+closure the memory and disk scans share — which keeps only the
+candidates whose link chain reaches a target and re-tests those in
+ascending order, so the yielded sequence is the per-entry scan's.
 """
 
 from __future__ import annotations

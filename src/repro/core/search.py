@@ -300,9 +300,10 @@ class OccurrenceScanner:
         return pid
 
     #: Backbone positions swept between cancellation polls. Large
-    #: enough that the per-window generator setup + ``poll`` cost
-    #: vanishes against the sweep itself, small enough that a deadline
-    #: is noticed within a fraction of a millisecond of scan work.
+    #: enough that the per-window generator setup, array passes and
+    #: ``poll`` stay a small share of the sweep, small enough that a
+    #: deadline is noticed within a fraction of a millisecond of scan
+    #: work.
     CANCEL_CHUNK = 4096
 
     def resolve(self, limit=None, cancel=None):
@@ -314,8 +315,8 @@ class OccurrenceScanner:
         :class:`~repro.resilience.CancellationToken`: the sweep then
         runs in :data:`CANCEL_CHUNK`-position windows (separate
         ``iter_link_entries`` ranges) with one poll between windows,
-        so even a backbone-length scan is cancelled promptly while the
-        window interior stays the tight loop at its per-entry cost.
+        so even a backbone-length scan is cancelled promptly; each
+        window is still decided by the layer's vectorized scan.
         """
         index = self.index
         n = len(index) if limit is None else min(limit, len(index))
@@ -381,8 +382,8 @@ def _member_mask(values, targets):
 
 
 def reaching_entries(cand, dest, lel, targets):
-    """The vectorized form of the per-entry scan rule, shared by the
-    array-backed layers' ``iter_link_entries``.
+    """The vectorized form of the per-entry scan rule, shared by every
+    layer's ``iter_link_entries``.
 
     ``cand`` holds ascending node ids whose LEL already passed the
     floor, ``dest`` and ``lel`` their link destinations and LELs (int

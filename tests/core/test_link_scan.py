@@ -1,15 +1,16 @@
-"""The array-backed link scans (``iter_link_entries`` of the packed and
-disk layers).
+"""The array-backed link scans (``iter_link_entries`` of the memory,
+packed and disk layers).
 
-Both layers find the entries that can reach the targets with array
-operations — one pointer-doubling closure
-(:func:`repro.core.search.reaching_entries`), over the whole range on
-packed and per window of decoded LT pages on disk — and re-test only
-those entry by entry. These tests hold both to the per-entry rule they
-replace — "``LEL >= min_lel`` and ``dest`` is already a target",
-tested in ascending order while the caller grows the targets — written
-out below as the reference. The packed instances of the shared tests
-run in ``test_packed_scan.py``.
+All three layers find the entries that can reach the targets with
+array operations — one pointer-doubling closure
+(:func:`repro.core.search.reaching_entries`), per window of copied link
+arrays on memory, over the whole range on packed and per window of
+decoded LT pages on disk — and re-test only those entry by entry.
+These tests hold them to the per-entry rule they replace — "``LEL >=
+min_lel`` and ``dest`` is already a target", tested in ascending order
+while the caller grows the targets — written out below as the
+reference. The packed instances of the shared tests run in
+``test_packed_scan.py``.
 """
 
 import random
@@ -18,6 +19,7 @@ import pytest
 
 from repro.alphabet import Alphabet, dna_alphabet
 from repro.core import SpineIndex, search
+from repro.core import index as memory_index
 from repro.core.packed import PackedSpineIndex
 from repro.core.search import OccurrenceScanner
 from repro.disk import spine_disk
@@ -116,6 +118,8 @@ def build_disk(text, alphabet, config):
 
 
 def build(layer, text, alphabet):
+    if layer == "memory":
+        return SpineIndex(text, alphabet=alphabet)
     if layer == "packed":
         return PackedSpineIndex.from_index(
             SpineIndex(text, alphabet=alphabet))
@@ -123,7 +127,8 @@ def build(layer, text, alphabet):
 
 
 @pytest.fixture(scope="module",
-                params=[(disk, name) for disk in sorted(DISKS)
+                params=[(layer, name)
+                        for layer in ["memory", *sorted(DISKS)]
                         for name in sorted(TEXTS)],
                 ids=lambda p: "-".join(p))
 def layer_text(request):
@@ -176,7 +181,7 @@ def test_cancel_token_answers_equal_plain_find_all(layer_text):
 # cross-layer edge cases
 # ----------------------------------------------------------------------
 
-LAYERS = ["packed", *sorted(DISKS)]
+LAYERS = ["memory", "packed", *sorted(DISKS)]
 
 
 @pytest.fixture(scope="module", params=LAYERS)
@@ -249,6 +254,56 @@ def test_disk_window_edges_match_reference(monkeypatch, sweep_pages):
         want = drive(lambda *a: reference_entries(disk, *a),
                      patterns, n, window)
         assert got == want
+
+
+@pytest.mark.parametrize("scan_window", [1, 2, 3])
+def test_memory_window_edges_match_reference(monkeypatch, scan_window):
+    # Shrink the memory scan's window so every caller range spans many
+    # windows, starts mid-window and may end past the index.
+    monkeypatch.setattr(memory_index, "_SCAN_WINDOW", scan_window)
+    make_text, make_alphabet = TEXTS["repeat-rich"]
+    text = make_text()[:1500]
+    index = SpineIndex(text, alphabet=make_alphabet())
+    n = len(index)
+    patterns = first_ends(index, sample_patterns(text, 40, (3, 40), seed=5))
+    for window in (n, 257):
+        got = drive(index.iter_link_entries, patterns, n, window)
+        want = drive(lambda *a: reference_entries(index, *a),
+                     patterns, n, window)
+        assert got == want
+    seeds = [e for e, _ in patterns]
+    for lo, hi in [(0, n), (1, 8), (4, 5), (5, 300), (n - 2, n + 7),
+                   (n - 1, 2 * n), (n, n + 1)]:
+        for min_lel in (1, 4, 12):
+            got = grow_every_yield(index.iter_link_entries, lo, hi,
+                                   min_lel, seeds + [lo])
+            want = grow_every_yield(
+                lambda *a: reference_entries(index, *a), lo, hi,
+                min_lel, seeds + [lo])
+            assert got == want, (scan_window, lo, hi, min_lel)
+
+
+@pytest.mark.parametrize("scan_window", [None, 3])
+@pytest.mark.parametrize("past_end", [0, 50])
+def test_memory_scan_survives_extend_between_yields(monkeypatch,
+                                                    scan_window, past_end):
+    # A suspended sweep must not pin the growing link arrays (an
+    # exported buffer makes ``extend`` raise ``BufferError``) and must
+    # keep to the snapshot (lo, hi] taken when it started, even when
+    # ``hi`` reaches past the index.
+    if scan_window is not None:
+        monkeypatch.setattr(memory_index, "_SCAN_WINDOW", scan_window)
+    make_text, make_alphabet = TEXTS["repeat-rich"]
+    index = SpineIndex(make_text()[:2000], alphabet=make_alphabet())
+    n = len(index)
+    every_node = dict.fromkeys(range(n + 1))
+    want = list(reference_entries(index, 0, n, 1, every_node))
+    sweep = index.iter_link_entries(0, n + past_end, 1, every_node)
+    got = [next(sweep)]
+    index.extend("ACGT")
+    got.extend(sweep)
+    assert len(index) == n + 4
+    assert got == want
 
 
 # ----------------------------------------------------------------------
