@@ -59,12 +59,6 @@ from repro.obs import get_registry
 
 _UNLOCKED = contextlib.nullcontext()
 
-#: Backbone positions the link scan copies and decides per pointer-
-#: doubling closure: bounds the sweep's temporaries whatever the range.
-#: On a 200k-char index a full sweep is as fast as with 32k windows,
-#: which raised peak RSS by ~1 MiB more.
-_SCAN_WINDOW = 1 << 14
-
 
 class SpineIndex:
     """Horizontally-compacted trie index over a single string.
@@ -407,21 +401,22 @@ class SpineIndex:
         grow between yields, but only by nodes this generator has
         yielded.
 
-        The range is swept :data:`_SCAN_WINDOW` positions at a time.
-        Each window copies its slice of the link arrays (a copy, so a
-        suspended sweep exports no buffer and a concurrent
-        :meth:`append_code` can still grow them), selects the entries
-        whose LEL reaches the floor, and hands them to
+        The range is swept :data:`~repro.core.search.SCAN_WINDOW`
+        positions at a time. Each window copies its slice of the link
+        arrays (a copy, so a suspended sweep exports no buffer and a
+        concurrent :meth:`append_code` can still grow them), selects
+        the entries whose LEL reaches the floor, and hands them to
         :func:`repro.core.search.reaching_entries` — the pointer-
         doubling closure the packed and disk layers share — which
-        re-tests ``dest in targets`` in ascending order over the
-        entries whose link chain reaches a target, so the yielded
-        sequence is the per-entry scan's.
+        returns after one membership pass when no entry's destination
+        is a target yet, and otherwise re-tests ``dest in targets`` in
+        ascending order over the entries whose link chain reaches a
+        target, so the yielded sequence is the per-entry scan's.
         """
         n = min(hi, self._n)
         start = lo + 1
         while start <= n:
-            stop = min(start + _SCAN_WINDOW, n + 1)
+            stop = min(start + search.SCAN_WINDOW, n + 1)
             lel = np.frombuffer(self._link_lel[start:stop], dtype=np.intc)
             cand = (lel >= min_lel).nonzero()[0]
             if cand.size:

@@ -33,6 +33,16 @@ from repro.exceptions import SearchError
 from repro.obs import get_registry
 from repro.obs.trace import get_tracer
 
+#: Backbone positions per link-scan window: the memory layer copies and
+#: decides this many positions per pointer-doubling closure, and a
+#: cancellable :meth:`OccurrenceScanner.resolve` polls once per this
+#: many. It bounds the memory sweep's temporaries whatever the range;
+#: on a 200k-char index a full sweep is as fast as with 32k windows,
+#: which raised peak RSS by ~1 MiB more. A window that no target can
+#: reach — most windows past a pattern's last occurrence — costs one
+#: array pass (:func:`reaching_entries`).
+SCAN_WINDOW = 1 << 14
+
 
 def step(index, node, pathlength, code, span=None):
     """One forward move of a valid path: from ``node`` after having
@@ -299,13 +309,6 @@ class OccurrenceScanner:
         self._patterns[pid] = (first_end, length)
         return pid
 
-    #: Backbone positions swept between cancellation polls. Large
-    #: enough that the per-window generator setup, array passes and
-    #: ``poll`` stay a small share of the sweep, small enough that a
-    #: deadline is noticed within a fraction of a millisecond of scan
-    #: work.
-    CANCEL_CHUNK = 4096
-
     def resolve(self, limit=None, cancel=None):
         """Run the shared scan; returns ``{pid: [end nodes ascending]}``.
 
@@ -313,10 +316,12 @@ class OccurrenceScanner:
         snapshot prefix of Section 2.7; defaults to the whole index.
         ``cancel`` is an optional
         :class:`~repro.resilience.CancellationToken`: the sweep then
-        runs in :data:`CANCEL_CHUNK`-position windows (separate
-        ``iter_link_entries`` ranges) with one poll between windows,
-        so even a backbone-length scan is cancelled promptly; each
-        window is still decided by the layer's vectorized scan.
+        runs in :data:`SCAN_WINDOW`-position windows (separate
+        ``iter_link_entries`` ranges, one memory-layer window each)
+        with one poll between windows, so even a backbone-length scan
+        is cancelled promptly; each window is still decided by the
+        layer's vectorized scan, which costs one array pass when no
+        candidate in it reaches a target.
         """
         index = self.index
         n = len(index) if limit is None else min(limit, len(index))
@@ -338,7 +343,7 @@ class OccurrenceScanner:
         self.last_scan_nodes = max(0, n - min_start)
         # Nodes with LEL below every registered length can never end an
         # occurrence, so the layers skip them while sweeping.
-        window = n if cancel is None else self.CANCEL_CHUNK
+        window = n if cancel is None else SCAN_WINDOW
         lo = min_start
         while lo < n:
             if cancel is not None:
@@ -392,6 +397,11 @@ def reaching_entries(cand, dest, lel, targets):
     ascending order — exactly the per-entry scan of ``cand``, while
     ``targets`` grows between yields by yielded nodes only.
 
+    A window in which no candidate's ``dest`` is a target yet returns
+    after that one membership pass: ``targets`` grows only by yielded
+    nodes, and nothing here is yielded unless its ``dest`` is a target
+    when reached, so such a window can never yield.
+
     Links point upstream, so a candidate can only be accepted if its
     link chain through ``cand`` reaches a current target. Pointer
     doubling finds those candidates first — each round ORs in the flag
@@ -400,6 +410,8 @@ def reaching_entries(cand, dest, lel, targets):
     targets`` over that superset alone.
     """
     reach = _member_mask(dest, targets)
+    if not reach.any():
+        return
     # parent[i]: position in cand of dest[i], or -1. dest[i] < cand[i],
     # so parent[i] < i and every chain ends.
     parent = cand.searchsorted(dest)

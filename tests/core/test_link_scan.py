@@ -15,13 +15,14 @@ reference. The packed instances of the shared tests run in
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.alphabet import Alphabet, dna_alphabet
 from repro.core import SpineIndex, search
-from repro.core import index as memory_index
 from repro.core.packed import PackedSpineIndex
-from repro.core.search import OccurrenceScanner
 from repro.disk import spine_disk
 from repro.disk.spine_disk import DiskSpineIndex
 from repro.resilience import CancellationToken, Deadline
@@ -138,7 +139,7 @@ def layer_text(request):
     return build(layer, text, make_alphabet()), text
 
 
-WINDOWS = [None, OccurrenceScanner.CANCEL_CHUNK, 257]
+WINDOWS = [None, 4096, search.SCAN_WINDOW, 257]
 
 
 @pytest.mark.parametrize("window", WINDOWS)
@@ -175,6 +176,103 @@ def test_cancel_token_answers_equal_plain_find_all(layer_text):
         token = CancellationToken(Deadline.after(60.0))
         assert search.find_all(index, pattern, cancel=token) == \
             search.find_all(index, pattern)
+
+
+class Cancelled(Exception):
+    pass
+
+
+class PollBudget:
+    """A stand-in cancellation token whose ``poll`` raises after ``k``
+    polls; the traversal's amortized checkpoints are free."""
+
+    def __init__(self, k):
+        self.left = k
+
+    def checkpoint(self):
+        pass
+
+    def poll(self):
+        if not self.left:
+            raise Cancelled
+        self.left -= 1
+
+
+@pytest.fixture(scope="module", params=["memory", "packed"])
+def long_index(request):
+    text = _random_dna(6 * search.SCAN_WINDOW, 7)
+    return build(request.param, text, dna_alphabet()), text
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_cancelled_scan_stops_within_one_window(monkeypatch, long_index,
+                                                k):
+    # A cancellable scan polls once per SCAN_WINDOW positions, so it
+    # asks the layer for at most one window past the last good poll.
+    index, text = long_index
+    asked = []
+    sweep = index.iter_link_entries
+
+    def counted(lo, hi, min_lel, targets):
+        asked.append(min(hi, len(index)) - lo)
+        return sweep(lo, hi, min_lel, targets)
+
+    monkeypatch.setattr(index, "iter_link_entries", counted)
+    with pytest.raises(Cancelled):
+        search.find_all(index, text[:12], cancel=PollBudget(k))
+    assert len(asked) == k
+    assert sum(asked) <= (k + 1) * search.SCAN_WINDOW
+
+
+# ----------------------------------------------------------------------
+# the shared closure
+# ----------------------------------------------------------------------
+
+@st.composite
+def closure_windows(draw):
+    """One window for :func:`search.reaching_entries`: ascending
+    candidates, each linking upstream, their LELs and a target set —
+    about half of them holding no candidate's destination."""
+    cand = sorted(draw(st.sets(st.integers(1, 80), max_size=40)))
+    dest = [draw(st.integers(0, j - 1)) for j in cand]
+    lel = draw(st.lists(st.integers(1, 50), min_size=len(cand),
+                        max_size=len(cand)))
+    targets = draw(st.sets(st.integers(0, 80), max_size=12))
+    if draw(st.booleans()):
+        targets -= set(dest)
+    return cand, dest, lel, targets
+
+
+#: Which yielded nodes the caller adds to the targets.
+GROWTH = {
+    "never": lambda j: False,
+    "every-yield": lambda j: True,
+    "odd-nodes": lambda j: j % 2 == 1,
+}
+
+
+@pytest.mark.parametrize("growth", sorted(GROWTH))
+@settings(max_examples=150, deadline=None)
+@given(window=closure_windows())
+def test_reaching_entries_matches_per_entry_rule(growth, window):
+    cand, dest, lel, seeds = window
+    grows = GROWTH[growth]
+    targets = dict.fromkeys(seeds)
+    got = []
+    for j, d, length in search.reaching_entries(
+            np.array(cand, dtype=np.int64), np.array(dest, dtype=np.intc),
+            np.array(lel, dtype=np.intc), targets):
+        got.append((j, d, length))
+        if grows(j):
+            targets[j] = None
+    targets = set(seeds)
+    want = []
+    for j, d, length in zip(cand, dest, lel):
+        if d in targets:
+            want.append((j, d, length))
+            if grows(j):
+                targets.add(j)
+    assert got == want
 
 
 # ----------------------------------------------------------------------
@@ -260,7 +358,7 @@ def test_disk_window_edges_match_reference(monkeypatch, sweep_pages):
 def test_memory_window_edges_match_reference(monkeypatch, scan_window):
     # Shrink the memory scan's window so every caller range spans many
     # windows, starts mid-window and may end past the index.
-    monkeypatch.setattr(memory_index, "_SCAN_WINDOW", scan_window)
+    monkeypatch.setattr(search, "SCAN_WINDOW", scan_window)
     make_text, make_alphabet = TEXTS["repeat-rich"]
     text = make_text()[:1500]
     index = SpineIndex(text, alphabet=make_alphabet())
@@ -292,7 +390,7 @@ def test_memory_scan_survives_extend_between_yields(monkeypatch,
     # keep to the snapshot (lo, hi] taken when it started, even when
     # ``hi`` reaches past the index.
     if scan_window is not None:
-        monkeypatch.setattr(memory_index, "_SCAN_WINDOW", scan_window)
+        monkeypatch.setattr(search, "SCAN_WINDOW", scan_window)
     make_text, make_alphabet = TEXTS["repeat-rich"]
     index = SpineIndex(make_text()[:2000], alphabet=make_alphabet())
     n = len(index)
