@@ -17,7 +17,15 @@ Three measurements, each best-of-``repeats``:
   is a few percent either way, so treat a single ``within_target``
   flip as a re-run prompt, not a regression.
 * ``batch``: the same comparison through ``batch_find_all`` (token per
-  traversal plus chunked occurrence sweep).
+  traversal plus windowed occurrence sweep).
+* ``cancellation``: the hardware-free check beside those timings, per
+  layer (memory, packed, disk). Each query runs against a deadline on
+  a clock that reads the backbone positions its scan has decoded, set
+  to pass at a random point of the scan; the snapshot records the
+  polls each cancelled query made and the positions scanned after the
+  deadline passed, up to the poll that saw it — at most one window
+  (the layer's ``scan_stride``). These are counts, so they repeat
+  exactly on any host.
 * ``primitives``: raw ops/sec of the per-call breaker protocol
   (``allow`` + ``record_success``) and a no-fault ``RetryPolicy.call``
   round trip, to show the per-shard and per-read bookkeeping is
@@ -40,6 +48,9 @@ from repro import obs
 from repro.core import search
 from repro.core.batch import batch_find_all
 from repro.core.index import SpineIndex
+from repro.core.packed import PackedSpineIndex
+from repro.disk import DiskSpineIndex
+from repro.exceptions import DeadlineExceededError
 from repro.obs.report import build_report
 from repro.resilience import (CancellationToken, CircuitBreaker,
                               Deadline, RetryPolicy)
@@ -125,6 +136,82 @@ def _batch_overhead(index, workload, repeats, rounds=10):
     return _compare(baseline, with_token, repeats)
 
 
+class _Decoded:
+    """``index`` with a position clock: every window its link scan
+    decodes advances ``clock.positions`` by the window's length."""
+
+    def __init__(self, index, clock):
+        self._index = index
+        self._clock = clock
+
+    def __getattr__(self, name):
+        return getattr(self._index, name)
+
+    def __len__(self):
+        return len(self._index)
+
+    def link_candidates(self, start, stop, min_lel):
+        self._clock.positions += stop - start
+        return self._index.link_candidates(start, stop, min_lel)
+
+
+class _PositionClock:
+    """A deadline clock that reads the positions scanned so far."""
+
+    def __init__(self):
+        self.positions = 0
+
+    def __call__(self):
+        return self.positions
+
+
+class _CountingToken(CancellationToken):
+    """A token that counts its real polls."""
+
+    __slots__ = ("polls",)
+
+    def __init__(self, deadline):
+        super().__init__(deadline, op="bench")
+        self.polls = 0
+
+    def poll(self):
+        self.polls += 1
+        super().poll()
+
+
+def _cancellation_counts(index, workload, seed):
+    """Polls per cancelled query and positions scanned after the
+    deadline passed, for queries whose deadline falls inside their
+    link scan (the hardware-free cancellation check)."""
+    rng = random.Random(seed)
+    clock = _PositionClock()
+    decoded = _Decoded(index, clock)
+    polls, overshoot = [], []
+    for pattern in workload:
+        clock.positions = 0
+        search.find_all(decoded, pattern)
+        scanned = clock.positions
+        if scanned < 2:
+            continue
+        clock.positions = 0
+        token = _CountingToken(Deadline(rng.randrange(1, scanned), clock))
+        try:
+            search.find_all(decoded, pattern, cancel=token)
+        except DeadlineExceededError:
+            polls.append(token.polls)
+            overshoot.append(clock.positions - token.deadline.at)
+    stride = index.scan_stride
+    return {
+        "cancelled_queries": len(polls),
+        "polls_per_query": sum(polls) / len(polls) if polls else None,
+        "max_positions_after_deadline": max(overshoot, default=None),
+        "mean_positions_after_deadline": (sum(overshoot) / len(overshoot)
+                                          if overshoot else None),
+        "scan_stride": stride,
+        "within_one_stride": all(k <= stride for k in overshoot),
+    }
+
+
 def _primitive_costs(repeats, calls=100_000):
     breaker = CircuitBreaker("bench")
 
@@ -169,6 +256,16 @@ def collect_snapshot(scale=60_000, patterns=96, pattern_length=8,
     query = _query_overhead(index, workload, repeats)
     batch = _batch_overhead(index, workload, repeats)
     primitives = _primitive_costs(max(2, repeats // 2))
+    disk = DiskSpineIndex(alphabet=index.alphabet)
+    disk.extend(text)
+    # Short patterns too, so some scans are dense with occurrences.
+    cancel_workload = workload + _make_workload(text, patterns // 4, 2,
+                                                seed + 2)
+    cancellation = {
+        name: _cancellation_counts(layer, cancel_workload, seed + 3)
+        for name, layer in (("memory", index),
+                            ("packed", PackedSpineIndex.from_index(index)),
+                            ("disk", disk))}
 
     registry = obs.MetricsRegistry()  # only for the report envelope
     report = build_report(registry, label=label, context={
@@ -183,6 +280,7 @@ def collect_snapshot(scale=60_000, patterns=96, pattern_length=8,
         "query": query,
         "batch": batch,
         "primitives": primitives,
+        "cancellation": cancellation,
     }
     return report
 
@@ -222,6 +320,16 @@ def main(argv=None):
               f"(target < {OVERHEAD_TARGET_PCT}%) [{verdict}]")
     for name, data in resilience["primitives"].items():
         print(f"  {name}: {data['ops_per_sec']:,.0f} ops/s")
+    for name, data in resilience["cancellation"].items():
+        if not data["cancelled_queries"]:
+            print(f"  cancel {name}: no scan long enough to cancel")
+            continue
+        verdict = "OK" if data["within_one_stride"] else "OVER ONE WINDOW"
+        print(f"  cancel {name}: {data['polls_per_query']:.2f} polls per "
+              f"cancelled query, at most "
+              f"{data['max_positions_after_deadline']} positions "
+              f"scanned after the deadline (stride "
+              f"{data['scan_stride']}) [{verdict}]")
     return 0
 
 

@@ -42,6 +42,8 @@ and the sparse rib/extrib maps in dicts keyed by ``node * alphabet_size
 + code`` — the reference in-memory form. The Section 5 physical layout
 (LT/RT tables, two-byte labels, overflow table) lives in
 :mod:`repro.core.packed`.
+Queries run in :mod:`repro.core.search`; for the link scan this layer
+only decodes windows (:meth:`SpineIndex.link_candidates`).
 """
 
 from __future__ import annotations
@@ -393,38 +395,23 @@ class SpineIndex:
         """Total number of extrib elements across all chains."""
         return sum(len(chain) for chain in self._extchains.values())
 
-    def iter_link_entries(self, lo, hi, min_lel, targets):
-        """Yield ``(j, dest, LEL)`` for backbone nodes ``lo < j <= hi``
-        whose LEL is at least ``min_lel`` and whose link destination is
-        in ``targets`` — the downstream-scan primitive of
-        :class:`~repro.core.search.OccurrenceScanner`. ``targets`` may
-        grow between yields, but only by nodes this generator has
-        yielded.
+    @property
+    def scan_stride(self):
+        """Link-scan window stride: :data:`repro.core.search.SCAN_WINDOW`."""
+        return search.SCAN_WINDOW
 
-        The range is swept :data:`~repro.core.search.SCAN_WINDOW`
-        positions at a time. Each window copies its slice of the link
-        arrays (a copy, so a suspended sweep exports no buffer and a
-        concurrent :meth:`append_code` can still grow them), selects
-        the entries whose LEL reaches the floor, and hands them to
-        :func:`repro.core.search.reaching_entries` — the pointer-
-        doubling closure the packed and disk layers share — which
-        returns after one membership pass when no entry's destination
-        is a target yet, and otherwise re-tests ``dest in targets`` in
-        ascending order over the entries whose link chain reaches a
-        target, so the yielded sequence is the per-entry scan's.
-        """
-        n = min(hi, self._n)
-        start = lo + 1
-        while start <= n:
-            stop = min(start + search.SCAN_WINDOW, n + 1)
-            lel = np.frombuffer(self._link_lel[start:stop], dtype=np.intc)
-            cand = (lel >= min_lel).nonzero()[0]
-            if cand.size:
-                dest = np.frombuffer(self._link_dest[start:stop],
-                                     dtype=np.intc)
-                yield from search.reaching_entries(
-                    cand + start, dest[cand], lel[cand], targets)
-            start = stop
+    def link_candidates(self, start, stop, min_lel):
+        """``(nodes, dests, LELs)`` int arrays of the nodes ``start <=
+        j < stop`` with ``LEL >= min_lel``, ascending, or ``None`` — one
+        window of :func:`repro.core.search.link_scan`. The slices are
+        copies, so a concurrent :meth:`append_code` can still grow the
+        link arrays."""
+        lel = np.frombuffer(self._link_lel[start:stop], dtype=np.intc)
+        cand = (lel >= min_lel).nonzero()[0]
+        if not cand.size:
+            return None
+        dest = np.frombuffer(self._link_dest[start:stop], dtype=np.intc)
+        return cand + start, dest[cand], lel[cand]
 
     def ribs_at(self, node):
         """Dict ``code -> (dest, PT)`` of all ribs at ``node``."""

@@ -26,13 +26,12 @@ the reference index, so the one query engine answers on it; equivalence
 is asserted property-style in the tests. It is also the unit the
 disk-resident implementation pages over (:mod:`repro.disk`).
 
-The link scan (:meth:`PackedSpineIndex.iter_link_entries`, Section 4)
-is vectorized. It selects the candidates (LEL at or above the floor)
-and gathers their destinations in array passes, then hands them to
-:func:`repro.core.search.reaching_entries` — the pointer-doubling
-closure the memory and disk scans share — which keeps only the
-candidates whose link chain reaches a target and re-tests those in
-ascending order, so the yielded sequence is the per-entry scan's.
+For the link scan (Section 4) the packed form only decodes windows:
+:meth:`PackedSpineIndex.link_candidates` selects the entries whose LEL
+reaches the floor (overflowed LELs resolved) and gathers their
+destinations in array passes; the engine's window loop
+(:func:`repro.core.search.link_scan`) decides them against its target
+bitmap, as on every layer.
 """
 
 from __future__ import annotations
@@ -57,9 +56,12 @@ _PTR_ROW_MASK = (1 << _PTR_CLASS_SHIFT) - 1
 class RibTable:
     """One fanout class of the optimized layout (RT_k of Figure 5)."""
 
-    def __init__(self, fanout, rows):
+    def __init__(self, fanout, ld):
         self.fanout = fanout
-        self.ld = np.zeros(rows, dtype=np.int32)
+        #: Displaced link destinations: this class's slice of the
+        #: index's ``_ld``, so the link scan gathers all classes at once.
+        self.ld = ld
+        rows = len(ld)
         self.codes = np.full((rows, fanout), 255, dtype=np.uint8)
         self.dests = np.zeros((rows, fanout), dtype=np.int32)
         self.pts = np.zeros((rows, fanout), dtype=np.uint32)
@@ -94,6 +96,8 @@ class PackedSpineIndex:
         self._lt_lel = None         # uint16 with overflow sentinel
         self._lel_overflow = {}     # node -> true LEL
         self._tables = {}           # fanout class -> RibTable
+        self._ld = None             # int32 RibTable.ld of every class
+        self._ld_base = None        # fanout class -> its offset in _ld
         # Flat extrib region: the elements of one chain are contiguous,
         # thresholds ascending (located by RibTable.ext_off/ext_len).
         self._ext_dest = None       # int32 node ids
@@ -137,9 +141,15 @@ class PackedSpineIndex:
             class_members.setdefault(len(slots), []).append(node)
         ext_dest = []
         ext_pt = []
+        packed._ld = np.zeros(len(by_node), dtype=np.int32)
+        packed._ld_base = np.zeros(max(class_members, default=0) + 1,
+                                   dtype=np.int64)
+        offset = 0
         for fanout, nodes in sorted(class_members.items()):
             nodes.sort()
-            table = RibTable(fanout, len(nodes))
+            packed._ld_base[fanout] = offset
+            table = RibTable(fanout, packed._ld[offset:offset + len(nodes)])
+            offset += len(nodes)
             packed._tables[fanout] = table
             for row, node in enumerate(nodes):
                 table.ld[row] = lt_ref[node]
@@ -198,50 +208,41 @@ class PackedSpineIndex:
             lel = self._lel_overflow.get(i, lel)
         return dest, lel
 
-    def iter_link_entries(self, lo, hi, min_lel, targets):
-        """Yield ``(j, dest, LEL)`` for nodes ``lo < j <= hi`` with
-        ``LEL >= min_lel`` and ``dest`` in ``targets`` (the shared
-        downstream-scan primitive; ``targets`` may grow between
-        yields, but only by nodes this generator has yielded).
+    @property
+    def scan_stride(self):
+        """Link-scan window stride: :data:`repro.core.search.SCAN_WINDOW`."""
+        return search.SCAN_WINDOW
 
-        Candidates ``C`` are the entries whose stored LEL reaches the
-        floor (entries at the overflow sentinel qualify for any floor
-        and are resolved through the overflow table before being
-        yielded). Their destinations are gathered in one pass, and
-        pointer doubling over the links inside ``C`` keeps only the
-        candidates whose link chain reaches a current target — a
-        superset of the entries a growing ``targets`` can accept.
-        Python then re-tests ``dest in targets`` over that superset
-        alone, in ascending order, so the yielded sequence equals a
-        per-entry scan of ``C``.
+    def link_candidates(self, start, stop, min_lel):
+        """``(nodes, dests, LELs)`` int arrays of the nodes ``start <=
+        j < stop`` whose LEL is at least ``min_lel``, ascending, or
+        ``None`` — one window of :func:`repro.core.search.link_scan`.
+
+        An entry at the overflow sentinel qualifies for any floor until
+        its true LEL is read from the overflow table; displaced
+        destinations take one gather from all classes' ``ld`` at once.
         """
-        n = min(hi, self._n)
-        if lo >= n:
-            return
         threshold = min(min_lel, OVERFLOW_SENTINEL)
-        # Scan only the requested (lo, n] slice so windowed sweeps
-        # (cancellation chunking) stay linear in the total range.
-        cand = (self._lt_lel[lo + 1:n + 1] >= threshold).nonzero()[0]
+        cand = (self._lt_lel[start:stop] >= threshold).nonzero()[0]
         if not cand.size:
-            return
-        cand += lo + 1
-        dest = self._lt_ref[cand]
-        displaced = dest < 0
-        ptr = -dest[displaced] - 1
-        fanout = ptr >> _PTR_CLASS_SHIFT
-        row = ptr & _PTR_ROW_MASK
-        for f, table in self._tables.items():
-            sel = fanout == f
-            ptr[sel] = table.ld[row[sel]]
-        dest[displaced] = ptr
+            return None
+        cand += start
         lel = self._lt_lel[cand]
-        for j, d, length in search.reaching_entries(cand, dest, lel,
-                                                    targets):
-            if length == OVERFLOW_SENTINEL:
-                length = self._lel_overflow.get(j, length)
-                if length < min_lel:
-                    continue
-            yield j, d, length
+        # Exactly the overflow table's nodes hold the sentinel.
+        if self._lel_overflow and (lel == OVERFLOW_SENTINEL).any():
+            over = lel == OVERFLOW_SENTINEL
+            lel = lel.astype(np.int64)
+            lel[over] = [self._lel_overflow[j] for j in cand[over].tolist()]
+            keep = lel >= min_lel
+            cand, lel = cand[keep], lel[keep]
+            if not cand.size:
+                return None
+        dest = self._lt_ref[cand]
+        displaced = (dest < 0).nonzero()[0]
+        ptr = -dest[displaced] - 1
+        dest[displaced] = self._ld[self._ld_base[ptr >> _PTR_CLASS_SHIFT]
+                                   + (ptr & _PTR_ROW_MASK)]
+        return cand, dest, lel
 
     def ribs_at(self, node):
         """Dict ``code -> (dest, PT)`` at ``node`` (mirrors reference)."""

@@ -10,7 +10,9 @@ whose link lands in the growing target set with sufficient LEL.
 The paper defers the downstream scan and resolves *all* patterns found
 during a matching run in one shared sequential pass;
 :class:`OccurrenceScanner` implements that batched form, and a
-single-pattern :func:`find_all` is one registration with it.
+single-pattern :func:`find_all` is one registration with it. Its window
+loop (:func:`link_scan`) is the only link-scan loop; a layer merely
+decodes a window's candidates (``link_candidates``).
 
 Every verb here serves all three traversal layers — the reference
 :class:`~repro.core.index.SpineIndex`, the packed layout and the
@@ -33,15 +35,18 @@ from repro.exceptions import SearchError
 from repro.obs import get_registry
 from repro.obs.trace import get_tracer
 
-#: Backbone positions per link-scan window: the memory layer copies and
-#: decides this many positions per pointer-doubling closure, and a
-#: cancellable :meth:`OccurrenceScanner.resolve` polls once per this
-#: many. It bounds the memory sweep's temporaries whatever the range;
-#: on a 200k-char index a full sweep is as fast as with 32k windows,
-#: which raised peak RSS by ~1 MiB more. A window that no target can
-#: reach — most windows past a pattern's last occurrence — costs one
-#: array pass (:func:`reaching_entries`).
+#: Backbone positions per link-scan window (the disk layer rounds it
+#: down to whole LT pages): :func:`link_scan` decides this many per
+#: pointer-doubling closure and, when cancellable, polls once per
+#: window. It bounds the scan's temporaries whatever the range; on a
+#: 200k-char index a full sweep is as fast as with 32k windows, which
+#: raised peak RSS by ~1 MiB more. A window that no target can reach
+#: costs one array pass (:func:`reaching_entries`).
 SCAN_WINDOW = 1 << 14
+
+#: Accepted occurrences per extra cancellation poll, so a window dense
+#: with matches does not run to its end past a deadline.
+POLL_HITS = 1024
 
 
 def step(index, node, pathlength, code, span=None):
@@ -275,8 +280,8 @@ class OccurrenceScanner:
     single time regardless of how many patterns were registered — the
     paper's "one single final sequential scan" (Section 4).
 
-    The scan consumes link entries through the layer's
-    ``iter_link_entries``, so one scanner serves all three traversal
+    The scan reads link entries through the layer's ``link_candidates``
+    (:func:`link_scan`), so one scanner serves all three traversal
     layers — on the disk layer the shared pass is exactly one
     sequential Link-Table sweep. The caller holds the layer's read
     lock around :meth:`resolve`.
@@ -315,13 +320,10 @@ class OccurrenceScanner:
         ``limit`` bounds the scan to backbone nodes ``<= limit`` — the
         snapshot prefix of Section 2.7; defaults to the whole index.
         ``cancel`` is an optional
-        :class:`~repro.resilience.CancellationToken`: the sweep then
-        runs in :data:`SCAN_WINDOW`-position windows (separate
-        ``iter_link_entries`` ranges, one memory-layer window each)
-        with one poll between windows, so even a backbone-length scan
-        is cancelled promptly; each window is still decided by the
-        layer's vectorized scan, which costs one array pass when no
-        candidate in it reaches a target.
+        :class:`~repro.resilience.CancellationToken`, polled before
+        every scan window and after every :data:`POLL_HITS` accepted
+        occurrences. The targets live in a bitmap over the scanned
+        span: the first ends up front, each node as it is accepted.
         """
         index = self.index
         n = len(index) if limit is None else min(limit, len(index))
@@ -330,8 +332,7 @@ class OccurrenceScanner:
         self.last_scan_nodes = 0
         if not self._patterns:
             return results
-        # node -> list of (pid, length) target entries living there;
-        # its keys are the target set the layer filters entries by.
+        # node -> list of (pid, length) target entries living there.
         node_targets = {}
         min_start = n + 1
         min_length = None
@@ -341,23 +342,31 @@ class OccurrenceScanner:
             if min_length is None or length < min_length:
                 min_length = length
         self.last_scan_nodes = max(0, n - min_start)
+        if min_start >= n:
+            return results
+        # Byte k is set iff node base + k is a target. Node base lies
+        # below every first end, so it never is one, and every link
+        # destination below it reads that byte.
+        base = min_start - 1
+        bitmap = bytearray(n + 1 - base)
+        for end in node_targets:
+            if end <= n:
+                bitmap[end - base] = 1
+        accepted = 0
         # Nodes with LEL below every registered length can never end an
-        # occurrence, so the layers skip them while sweeping.
-        window = n if cancel is None else SCAN_WINDOW
-        lo = min_start
-        while lo < n:
-            if cancel is not None:
-                cancel.poll()
-            hi = min(lo + window, n)
-            for j, dest, lel in index.iter_link_entries(
-                    lo, hi, min_length, node_targets):
-                hits = [(pid, length) for pid, length in node_targets[dest]
-                        if lel >= length]
-                if hits:
-                    node_targets.setdefault(j, []).extend(hits)
-                    for pid, _ in hits:
-                        results[pid].append(j)
-            lo = hi
+        # occurrence, so the layers leave them out of the candidates.
+        for j, dest, lel in link_scan(index, min_start, n, min_length,
+                                      bitmap, base, cancel=cancel):
+            hits = [(pid, length) for pid, length in node_targets[dest]
+                    if lel >= length]
+            if hits:
+                bitmap[j - base] = 1
+                node_targets.setdefault(j, []).extend(hits)
+                for pid, _ in hits:
+                    results[pid].append(j)
+                accepted += 1
+                if cancel is not None and not accepted % POLL_HITS:
+                    cancel.poll()
         return results
 
     def resolve_starts(self, limit=None, cancel=None):
@@ -369,53 +378,73 @@ class OccurrenceScanner:
         }
 
 
-def _member_mask(values, targets):
-    """Boolean mask of ``values`` (int array) that are keys of
-    ``targets``: a binary search of the sorted keys when ``targets`` is
-    the smaller side, else one hash probe per value — so a windowed
-    sweep whose target set has grown to the whole answer does not
-    re-read it every window. (``np.isin`` would import ``numpy.ma``,
-    ~2 MiB, on the first disk sweep.)"""
-    if 0 < len(targets) <= values.size:
-        keys = np.fromiter(targets, dtype=np.int64, count=len(targets))
-        keys.sort()
-        pos = keys.searchsorted(values)
-        np.minimum(pos, keys.size - 1, out=pos)
-        return keys[pos] == values
-    return np.fromiter((v in targets for v in values.tolist()),
-                       dtype=bool, count=values.size)
+def link_scan(index, lo, hi, min_lel, bitmap, base, cancel=None):
+    """The downstream link scan's window loop — the only one, for every
+    layer.
+
+    Yields ``(j, dest, LEL)`` for the nodes ``lo < j <= hi`` (``hi``
+    clipped to the index length when the scan starts) whose LEL is at
+    least ``min_lel`` and whose ``dest`` is a target when ``j`` is
+    reached, in ascending order. ``bitmap`` (a ``bytearray`` over nodes
+    ``base .. hi``, ``base < lo``) marks the targets, byte ``k`` for
+    node ``base + k``; byte 0 stays clear. The caller may set bytes
+    between yields, but only those of nodes already yielded.
+
+    Windows end on multiples of the layer's ``scan_stride`` (whole LT
+    pages on disk, so no page is looked up twice). The layer decodes a
+    window (``link_candidates``) and :func:`reaching_entries` decides
+    it. ``cancel`` is polled before every window.
+    """
+    stride = index.scan_stride
+    hi = min(hi, len(index))
+    link_candidates = index.link_candidates
+    start = lo + 1
+    while start <= hi:
+        if cancel is not None:
+            cancel.poll()
+        stop = min((start // stride + 1) * stride, hi + 1)
+        columns = link_candidates(start, stop, min_lel)
+        if columns is not None:
+            yield from reaching_entries(*columns, bitmap, base)
+        start = stop
 
 
-def reaching_entries(cand, dest, lel, targets):
-    """The vectorized form of the per-entry scan rule, shared by every
-    layer's ``iter_link_entries``.
+def reaching_entries(cand, dest, lel, bitmap, base):
+    """The vectorized form of the per-entry scan rule: one window of
+    :func:`link_scan`.
 
     ``cand`` holds ascending node ids whose LEL already passed the
     floor, ``dest`` and ``lel`` their link destinations and LELs (int
-    arrays aligned with ``cand``). Yields ``(j, dest, LEL)`` for each
-    candidate whose ``dest`` is in ``targets`` when it is reached in
-    ascending order — exactly the per-entry scan of ``cand``, while
-    ``targets`` grows between yields by yielded nodes only.
+    arrays aligned with ``cand``); ``bitmap`` and ``base`` are the
+    target bitmap of :func:`link_scan`. Yields ``(j, dest, LEL)`` for
+    each candidate whose ``dest`` is a target when it is reached in
+    ascending order — exactly the per-entry scan of ``cand``, while the
+    caller sets target bytes between yields for yielded nodes only.
 
-    A window in which no candidate's ``dest`` is a target yet returns
-    after that one membership pass: ``targets`` grows only by yielded
-    nodes, and nothing here is yielded unless its ``dest`` is a target
-    when reached, so such a window can never yield.
+    Membership is one gather from the bitmap. A window in which no
+    ``dest`` is a target yet returns after it: targets grow only by
+    yielded nodes, so such a window can never yield.
 
     Links point upstream, so a candidate can only be accepted if its
     link chain through ``cand`` reaches a current target. Pointer
     doubling finds those candidates first — each round ORs in the flag
     of the entry a chain pointer names and doubles the pointer,
-    O(|cand| log depth) in all — and Python re-tests ``dest in
-    targets`` over that superset alone.
+    O(|cand| log depth) in all — and Python re-tests the bitmap over
+    that superset alone.
     """
-    reach = _member_mask(dest, targets)
+    # Destinations below base clip to byte 0, which is never set.
+    reach = np.frombuffer(bitmap, dtype=np.bool_).take(dest - base,
+                                                       mode="clip")
     if not reach.any():
         return
-    # parent[i]: position in cand of dest[i], or -1. dest[i] < cand[i],
-    # so parent[i] < i and every chain ends.
-    parent = cand.searchsorted(dest)
-    parent[cand[parent] != dest] = -1
+    # parent[i]: position in cand of dest[i], or -1, read from a dense
+    # map of the window's span. dest[i] < cand[i], so parent[i] < i
+    # and every chain ends.
+    first = int(cand[0])
+    where = np.full(int(cand[-1]) + 1 - first, -1, dtype=np.intp)
+    where[cand - first] = np.arange(cand.size)
+    parent = where.take(dest - first, mode="clip")
+    parent[dest < first] = -1
     live = ((parent >= 0) & ~reach).nonzero()[0]
     while live.size:
         up = parent[live]
@@ -425,7 +454,7 @@ def reaching_entries(cand, dest, lel, targets):
     hits = reach.nonzero()[0]
     for j, d, length in zip(cand[hits].tolist(), dest[hits].tolist(),
                             lel[hits].tolist()):
-        if d in targets:
+        if bitmap[d - base]:
             yield j, d, length
 
 

@@ -31,6 +31,11 @@ negligible"); vacated rows go to a per-class free list. Record widths
 are implementation-convenient int32s; the paper-width byte model lives
 in :meth:`repro.core.packed.PackedSpineIndex.measured_bytes` — here the
 interesting output is page traffic.
+
+The occurrence scan (Section 4) is the engine's window loop
+(:func:`repro.core.search.link_scan`); this layer decodes its
+page-aligned windows (:meth:`DiskSpineIndex.link_candidates`), so the
+sweep stays one sequential pass that looks each LT page up once.
 """
 
 from __future__ import annotations
@@ -71,11 +76,6 @@ _META_V3 = struct.Struct("<4sHHqqI")
 
 _PTR_CLASS_SHIFT = 26
 _PTR_ROW_MASK = (1 << _PTR_CLASS_SHIFT) - 1
-
-#: LT pages the occurrence sweep decodes per pointer-doubling closure
-#: (64 4-KiB pages hold ~44k entries): bounds the sweep's temporaries.
-_SWEEP_PAGES = 64
-
 
 class _PageLedger:
     """Copy-on-write page bookkeeping behind crash-safe checkpoints.
@@ -1207,39 +1207,20 @@ class DiskSpineIndex:
         dest, lel, _ = self._lt_read(i)
         return dest, lel
 
-    def iter_link_entries(self, lo, hi, min_lel, targets):
-        """Yield ``(j, dest, LEL)`` for nodes ``lo < j <= hi`` with
-        ``LEL >= min_lel`` and ``dest`` in ``targets`` (which may grow
-        between yields, but only by nodes this generator has yielded)
-        — one strictly sequential Link-Table sweep through the buffer
-        pool (the access pattern the paper's Figure 8 buffering
-        argument is built on).
-
-        The sweep decodes each LT page slice as arrays and tests the
-        LEL first: only an entry that qualifies and whose destination
-        was displaced into an RT row (negative ``ref``) costs the extra
-        RT row read, made while its page is the current one. Every
-        :data:`_SWEEP_PAGES` pages the qualifying entries go through
-        :func:`repro.core.search.reaching_entries` — one pointer-
-        doubling closure per window — which re-tests ``dest in
-        targets`` in ascending order over the survivors only.
-        """
-        n = min(hi, self._n)
+    @property
+    def scan_stride(self):
+        """Link-scan window stride: the whole LT pages that fit in
+        :data:`repro.core.search.SCAN_WINDOW` positions (at least one)."""
         per_page = self._lt.per_page
-        start = lo + 1
-        while start <= n:
-            stop = min((start // per_page + _SWEEP_PAGES) * per_page,
-                       n + 1)
-            columns = self._window_candidates(start, stop, min_lel)
-            if columns is not None:
-                yield from search.reaching_entries(*columns, targets)
-            start = stop
+        return max(1, search.SCAN_WINDOW // per_page) * per_page
 
-    def _window_candidates(self, start, stop, min_lel):
+    def link_candidates(self, start, stop, min_lel):
         """``(nodes, dests, LELs)`` arrays of the LT entries ``start <=
-        j < stop`` with ``LEL >= min_lel``, or ``None``: one pool lookup
-        per page, then that page's displaced destinations from their RT
-        rows, in ascending order."""
+        j < stop`` with ``LEL >= min_lel``, or ``None`` — one window of
+        :func:`repro.core.search.link_scan`: one pool lookup per page,
+        decoded as arrays with the LEL tested first, then that page's
+        qualifying displaced destinations from their RT rows, in
+        ascending order."""
         rt = self._rt
         nodes, dests, lels = [], [], []
         for first, chunk in self._lt.page_slices(start, stop):

@@ -1,19 +1,20 @@
-"""The array-backed link scans (``iter_link_entries`` of the memory,
-packed and disk layers).
+"""The engine's link scan over the layers' window decoders.
 
-All three layers find the entries that can reach the targets with
-array operations — one pointer-doubling closure
-(:func:`repro.core.search.reaching_entries`), per window of copied link
-arrays on memory, over the whole range on packed and per window of
-decoded LT pages on disk — and re-test only those entry by entry.
-These tests hold them to the per-entry rule they replace — "``LEL >=
-min_lel`` and ``dest`` is already a target", tested in ascending order
-while the caller grows the targets — written out below as the
-reference. The packed instances of the shared tests run in
-``test_packed_scan.py``.
+:func:`repro.core.search.link_scan` is the only link-scan loop: each
+layer decodes a window of LEL-qualifying entries (``link_candidates``;
+copied link-array slices on memory, overflow-resolved arrays on packed,
+decoded LT pages on disk) and one pointer-doubling closure
+(:func:`repro.core.search.reaching_entries`) decides it against the
+target bitmap that :meth:`OccurrenceScanner.resolve` grows. These tests
+hold the scan to the per-entry rule it replaces — "``LEL >= min_lel``
+and ``dest`` is already a target", tested in ascending order while the
+caller grows the targets — written out below as the reference. The
+packed instances of the shared tests run in ``test_packed_scan.py``.
 """
 
+import contextlib
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,12 +38,35 @@ def reference_entries(index, lo, hi, min_lel, targets):
             yield j, dest, lel
 
 
-def drive(entries, patterns, n, window):
-    """Run ``entries`` (an ``iter_link_entries``) the way
-    :class:`OccurrenceScanner` does: targets start at the first ends,
-    and a yielded node becomes a target when some pattern ending at its
-    destination fits within its LEL. Returns every yielded entry and
-    the accepted nodes."""
+def drive(index, patterns, n, stride=None):
+    """Resolve ``patterns`` (``(first_end, length)`` pairs) up to node
+    ``n`` with :meth:`OccurrenceScanner.resolve`, the layer's
+    ``scan_stride`` replaced by ``stride`` if given. Returns every
+    entry the window loop yielded and the nodes the scanner
+    accepted."""
+    scanner = search.OccurrenceScanner(index)
+    pids = [scanner.add(first_end, length)
+            for first_end, length in patterns]
+    yielded = []
+    scan = search.link_scan
+
+    def recorded(*args, **kwargs):
+        for entry in scan(*args, **kwargs):
+            yielded.append(entry)
+            yield entry
+
+    strided = (contextlib.nullcontext() if stride is None else
+               mock.patch.object(type(index), "scan_stride", stride))
+    with strided, mock.patch.object(search, "link_scan", recorded):
+        results = scanner.resolve(n)
+    return yielded, {j for pid in pids for j in results[pid][1:]}
+
+
+def reference_drive(entries, patterns, n):
+    """:func:`drive`'s per-entry reference over ``entries`` (a
+    ``reference_entries``-like generator): targets start at the first
+    ends, and a yielded node becomes a target when some pattern ending
+    at its destination fits within its LEL."""
     node_targets = {}
     for pid, (first_end, length) in enumerate(patterns):
         node_targets.setdefault(first_end, []).append((pid, length))
@@ -50,17 +74,30 @@ def drive(entries, patterns, n, window):
     lo = min(first_end for first_end, _ in patterns)
     yielded = []
     accepted = set()
-    while lo < n:
-        hi = min(lo + window, n)
-        for j, dest, lel in entries(lo, hi, min_length, node_targets):
-            yielded.append((j, dest, lel))
-            hits = [(pid, length) for pid, length in node_targets[dest]
-                    if lel >= length]
-            if hits:
-                node_targets.setdefault(j, []).extend(hits)
-                accepted.add(j)
-        lo = hi
+    for j, dest, lel in entries(lo, n, min_length, node_targets):
+        yielded.append((j, dest, lel))
+        hits = [(pid, length) for pid, length in node_targets[dest]
+                if lel >= length]
+        if hits:
+            node_targets.setdefault(j, []).extend(hits)
+            accepted.add(j)
     return yielded, accepted
+
+
+def by_reference(index, patterns, n):
+    return reference_drive(lambda *a: reference_entries(index, *a),
+                           patterns, n)
+
+
+def target_bitmap(nodes, hi):
+    """A :func:`search.link_scan` bitmap over ``min(nodes) - 1 .. hi``
+    with ``nodes`` set; returns ``(bitmap, base)``."""
+    base = min(nodes) - 1
+    bitmap = bytearray(hi + 1 - base)
+    for node in nodes:
+        if node <= hi:
+            bitmap[node - base] = 1
+    return bitmap, base
 
 
 def first_ends(index, pattern_list):
@@ -139,6 +176,7 @@ def layer_text(request):
     return build(layer, text, make_alphabet()), text
 
 
+#: Window strides of the engine's loop (``None``: the layer's own).
 WINDOWS = [None, 4096, search.SCAN_WINDOW, 257]
 
 
@@ -146,12 +184,10 @@ WINDOWS = [None, 4096, search.SCAN_WINDOW, 257]
 def test_single_patterns_match_reference(layer_text, window):
     index, text = layer_text
     n = len(index)
-    step = n if window is None else window
     for pattern in sample_patterns(text, 25, (2, 24), seed=3):
         patterns = first_ends(index, [pattern])
-        got = drive(index.iter_link_entries, patterns, n, step)
-        want = drive(lambda *a: reference_entries(index, *a),
-                     patterns, n, step)
+        got = drive(index, patterns, n, window)
+        want = by_reference(index, patterns, n)
         assert got == want, pattern
 
 
@@ -159,13 +195,10 @@ def test_single_patterns_match_reference(layer_text, window):
 def test_mixed_length_batch_matches_reference(layer_text, window):
     index, text = layer_text
     n = len(index)
-    step = n if window is None else window
     patterns = first_ends(index,
                           sample_patterns(text, 40, (3, 40), seed=5))
-    got_yielded, got_accepted = drive(index.iter_link_entries,
-                                      patterns, n, step)
-    want_yielded, want_accepted = drive(
-        lambda *a: reference_entries(index, *a), patterns, n, step)
+    got_yielded, got_accepted = drive(index, patterns, n, window)
+    want_yielded, want_accepted = by_reference(index, patterns, n)
     assert got_yielded == want_yielded
     assert got_accepted == want_accepted
 
@@ -188,40 +221,75 @@ class PollBudget:
 
     def __init__(self, k):
         self.left = k
+        self.polls = 0
 
     def checkpoint(self):
         pass
 
     def poll(self):
+        self.polls += 1
         if not self.left:
             raise Cancelled
         self.left -= 1
 
 
-@pytest.fixture(scope="module", params=["memory", "packed"])
+@pytest.fixture(scope="module", params=["memory", "packed", "disk"])
 def long_index(request):
     text = _random_dna(6 * search.SCAN_WINDOW, 7)
     return build(request.param, text, dna_alphabet()), text
 
 
+def count_windows(monkeypatch, index):
+    """Record the size of every window the scan asks ``index`` for."""
+    asked = []
+    decode = index.link_candidates
+
+    def counted(start, stop, min_lel):
+        asked.append(stop - start)
+        return decode(start, stop, min_lel)
+
+    monkeypatch.setattr(index, "link_candidates", counted)
+    return asked
+
+
 @pytest.mark.parametrize("k", [0, 1, 3])
 def test_cancelled_scan_stops_within_one_window(monkeypatch, long_index,
                                                 k):
-    # A cancellable scan polls once per SCAN_WINDOW positions, so it
-    # asks the layer for at most one window past the last good poll.
+    # A cancellable scan polls before every window, so it asks the
+    # layer for one window per good poll and none past the last.
     index, text = long_index
-    asked = []
-    sweep = index.iter_link_entries
-
-    def counted(lo, hi, min_lel, targets):
-        asked.append(min(hi, len(index)) - lo)
-        return sweep(lo, hi, min_lel, targets)
-
-    monkeypatch.setattr(index, "iter_link_entries", counted)
+    asked = count_windows(monkeypatch, index)
     with pytest.raises(Cancelled):
         search.find_all(index, text[:12], cancel=PollBudget(k))
     assert len(asked) == k
-    assert sum(asked) <= (k + 1) * search.SCAN_WINDOW
+    assert sum(asked) <= k * index.scan_stride
+
+
+def test_dense_cancelled_scan_stops_within_poll_hits(monkeypatch,
+                                                     long_index):
+    # A 1-char pattern matches about a quarter of the positions, so one
+    # window holds ~4k occurrences: a token that expires right after
+    # its first poll (before the first window) must stop the scan
+    # within POLL_HITS accepted occurrences, not at the window's end.
+    index, text = long_index
+    asked = count_windows(monkeypatch, index)
+    yielded = []
+    scan = search.link_scan
+
+    def recorded(*args, **kwargs):
+        for entry in scan(*args, **kwargs):
+            yielded.append(entry)
+            yield entry
+
+    monkeypatch.setattr(search, "link_scan", recorded)
+    token = PollBudget(1)
+    with pytest.raises(Cancelled):
+        search.find_all(index, text[0], cancel=token)
+    assert token.polls == 2
+    assert len(asked) == 1
+    assert 0 < len(yielded) <= search.POLL_HITS
+    # A plain scan of the same window accepts far more.
+    assert len(search.find_all(index, text[0])) > 4 * search.POLL_HITS
 
 
 # ----------------------------------------------------------------------
@@ -231,16 +299,19 @@ def test_cancelled_scan_stops_within_one_window(monkeypatch, long_index,
 @st.composite
 def closure_windows(draw):
     """One window for :func:`search.reaching_entries`: ascending
-    candidates, each linking upstream, their LELs and a target set —
+    candidates above the bitmap's base, each linking upstream (some
+    below the base), their LELs and a target set above the base —
     about half of them holding no candidate's destination."""
-    cand = sorted(draw(st.sets(st.integers(1, 80), max_size=40)))
+    base = draw(st.integers(-1, 20))
+    cand = sorted(draw(st.sets(st.integers(max(1, base + 1), 80),
+                               max_size=40)))
     dest = [draw(st.integers(0, j - 1)) for j in cand]
     lel = draw(st.lists(st.integers(1, 50), min_size=len(cand),
                         max_size=len(cand)))
-    targets = draw(st.sets(st.integers(0, 80), max_size=12))
+    targets = draw(st.sets(st.integers(base + 1, 80), max_size=12))
     if draw(st.booleans()):
         targets -= set(dest)
-    return cand, dest, lel, targets
+    return base, cand, dest, lel, targets
 
 
 #: Which yielded nodes the caller adds to the targets.
@@ -255,16 +326,18 @@ GROWTH = {
 @settings(max_examples=150, deadline=None)
 @given(window=closure_windows())
 def test_reaching_entries_matches_per_entry_rule(growth, window):
-    cand, dest, lel, seeds = window
+    base, cand, dest, lel, seeds = window
     grows = GROWTH[growth]
-    targets = dict.fromkeys(seeds)
+    bitmap = bytearray(81 - base)
+    for node in seeds:
+        bitmap[node - base] = 1
     got = []
     for j, d, length in search.reaching_entries(
             np.array(cand, dtype=np.int64), np.array(dest, dtype=np.intc),
-            np.array(lel, dtype=np.intc), targets):
+            np.array(lel, dtype=np.intc), bitmap, base):
         got.append((j, d, length))
         if grows(j):
-            targets[j] = None
+            bitmap[j - base] = 1
     targets = set(seeds)
     want = []
     for j, d, length in zip(cand, dest, lel):
@@ -289,12 +362,24 @@ def repeat_rich(request):
     return build(request.param, text, make_alphabet()), text
 
 
-def grow_every_yield(entries, lo, hi, min_lel, seeds):
-    """Sweep ``(lo, hi]`` once, adding every yielded node to the
-    targets before asking for the next entry."""
+def grow_every_yield(index, lo, hi, min_lel, seeds):
+    """Scan ``(lo, hi]`` once with the engine's window loop, adding
+    every yielded node to the target bitmap before asking for the next
+    entry."""
+    hi = min(hi, len(index))
+    bitmap, base = target_bitmap(seeds, hi)
+    out = []
+    for j, dest, lel in search.link_scan(index, lo, hi, min_lel, bitmap,
+                                         base):
+        out.append((j, dest, lel))
+        bitmap[j - base] = 1
+    return out
+
+
+def reference_grow_every_yield(index, lo, hi, min_lel, seeds):
     targets = dict.fromkeys(seeds)
     out = []
-    for j, dest, lel in entries(lo, hi, min_lel, targets):
+    for j, dest, lel in reference_entries(index, lo, hi, min_lel, targets):
         out.append((j, dest, lel))
         targets[j] = None
     return out
@@ -315,12 +400,69 @@ def test_mid_page_ranges_with_growing_targets(repeat_rich):
             index, sample_patterns(text, 6, (min_lel, min_lel + 4),
                                    seed=min_lel))]
         for lo, hi in bounds:
-            got = grow_every_yield(index.iter_link_entries, lo, hi,
-                                   min_lel, seeds + [lo])
-            want = grow_every_yield(
-                lambda *a: reference_entries(index, *a), lo, hi,
-                min_lel, seeds + [lo])
+            got = grow_every_yield(index, lo, hi, min_lel, seeds + [lo])
+            want = reference_grow_every_yield(index, lo, hi, min_lel,
+                                              seeds + [lo])
             assert got == want, (min_lel, lo, hi)
+
+
+def test_destination_below_first_end_is_no_target(repeat_rich):
+    # Registering a later occurrence as the first end leaves the real
+    # first occurrence below the bitmap: entries linking there must be
+    # rejected, as by the per-entry rule, though their LEL qualifies.
+    index, text = repeat_rich
+    n = len(index)
+    below = 0
+    for pattern in sample_patterns(text, 30, (3, 10), seed=21):
+        starts = search.find_all(index, pattern)
+        if len(starts) < 3:
+            continue
+        patterns = [(starts[1] + len(pattern), len(pattern))]
+        got = drive(index, patterns, n)
+        assert got == by_reference(index, patterns, n), pattern
+        start = patterns[0][0]
+        for j in range(start + 1, n + 1):
+            dest, lel = index.link(j)
+            below += dest < start and lel >= len(pattern)
+    assert below > 0
+
+
+def unique_tail(text):
+    """The shortest suffix of ``text`` that occurs nowhere else."""
+    n = len(text)
+    return next(text[-m:] for m in range(1, n + 1)
+                if text.find(text[-m:]) == n - m)
+
+
+def test_first_end_at_the_tail(repeat_rich):
+    index, text = repeat_rich
+    n = len(index)
+    tail = unique_tail(text)
+    assert search.find_all(index, tail) == [n - len(tail)]
+    # With an earlier pattern the tail's byte is the bitmap's last.
+    patterns = first_ends(index, [tail, text[:6], text[n // 2:n // 2 + 4]])
+    assert patterns[0][0] == n
+    for window in (None, 257):
+        assert drive(index, patterns, n, window) == \
+            by_reference(index, patterns, n)
+
+
+def test_snapshot_limit_below_length(repeat_rich):
+    index, text = repeat_rich
+    n = len(index)
+    patterns = first_ends(index, sample_patterns(text, 40, (3, 12),
+                                                 seed=23)
+                          + [unique_tail(text)])
+    for limit in (n // 3, n // 2 + 1, n - 1):
+        # First ends past the limit stay out of the bitmap.
+        assert any(end > limit for end, _ in patterns)
+        assert drive(index, patterns, limit) == \
+            by_reference(index, patterns, limit)
+        for pattern in sample_patterns(text[:limit], 10, (2, 8),
+                                       seed=limit):
+            want = [i for i in range(limit - len(pattern) + 1)
+                    if text.startswith(pattern, i)]
+            assert search.find_all(index, pattern, limit=limit) == want
 
 
 def test_disk_entries_through_rt_rows_are_yielded():
@@ -330,54 +472,48 @@ def test_disk_entries_through_rt_rows_are_yielded():
     text = make_text()
     disk = build_disk(text, make_alphabet(), "disk-1k-pool4-latched")
     n = len(disk)
-    every_node = dict.fromkeys(range(n + 1))
-    got = list(disk.iter_link_entries(0, n, 1, every_node))
-    assert got == list(reference_entries(disk, 0, n, 1, every_node))
+    got = grow_every_yield(disk, 0, n, 1, range(n + 1))
+    assert got == list(reference_entries(disk, 0, n, 1,
+                                         set(range(n + 1))))
     displaced = [j for j, _, _ in got if disk._lt.read(j)[0] < 0]
     assert len(displaced) > 100
 
 
 @pytest.mark.parametrize("sweep_pages", [1, 2, 3])
-def test_disk_window_edges_match_reference(monkeypatch, sweep_pages):
-    # Shrink the sweep window so the closure runs over many windows
-    # whose edges fall inside the caller's ranges.
-    monkeypatch.setattr(spine_disk, "_SWEEP_PAGES", sweep_pages)
+def test_disk_window_edges_match_reference(sweep_pages):
+    # Shrink the scan's stride so it runs over many windows, page-
+    # aligned or (257) ending mid-page.
     make_text, make_alphabet = TEXTS["repeat-rich"]
     text = make_text()
     disk = build_disk(text, make_alphabet(), "disk-1k-pool4-latched")
     n = len(disk)
     patterns = first_ends(disk, sample_patterns(text, 40, (3, 40), seed=5))
-    for window in (n, 257):
-        got = drive(disk.iter_link_entries, patterns, n, window)
-        want = drive(lambda *a: reference_entries(disk, *a),
-                     patterns, n, window)
-        assert got == want
+    want = by_reference(disk, patterns, n)
+    for stride in (sweep_pages * disk._lt.per_page, 257):
+        assert drive(disk, patterns, n, stride) == want
 
 
 @pytest.mark.parametrize("scan_window", [1, 2, 3])
 def test_memory_window_edges_match_reference(monkeypatch, scan_window):
-    # Shrink the memory scan's window so every caller range spans many
+    # Shrink the memory layer's stride so every scan spans many
     # windows, starts mid-window and may end past the index.
     monkeypatch.setattr(search, "SCAN_WINDOW", scan_window)
     make_text, make_alphabet = TEXTS["repeat-rich"]
     text = make_text()[:1500]
     index = SpineIndex(text, alphabet=make_alphabet())
+    assert index.scan_stride == scan_window
     n = len(index)
     patterns = first_ends(index, sample_patterns(text, 40, (3, 40), seed=5))
-    for window in (n, 257):
-        got = drive(index.iter_link_entries, patterns, n, window)
-        want = drive(lambda *a: reference_entries(index, *a),
-                     patterns, n, window)
-        assert got == want
+    for window in (None, 257):
+        assert drive(index, patterns, n, window) == \
+            by_reference(index, patterns, n)
     seeds = [e for e, _ in patterns]
     for lo, hi in [(0, n), (1, 8), (4, 5), (5, 300), (n - 2, n + 7),
                    (n - 1, 2 * n), (n, n + 1)]:
         for min_lel in (1, 4, 12):
-            got = grow_every_yield(index.iter_link_entries, lo, hi,
-                                   min_lel, seeds + [lo])
-            want = grow_every_yield(
-                lambda *a: reference_entries(index, *a), lo, hi,
-                min_lel, seeds + [lo])
+            got = grow_every_yield(index, lo, hi, min_lel, seeds + [lo])
+            want = reference_grow_every_yield(index, lo, hi, min_lel,
+                                              seeds + [lo])
             assert got == want, (scan_window, lo, hi, min_lel)
 
 
@@ -385,7 +521,7 @@ def test_memory_window_edges_match_reference(monkeypatch, scan_window):
 @pytest.mark.parametrize("past_end", [0, 50])
 def test_memory_scan_survives_extend_between_yields(monkeypatch,
                                                     scan_window, past_end):
-    # A suspended sweep must not pin the growing link arrays (an
+    # A suspended scan must not pin the growing link arrays (an
     # exported buffer makes ``extend`` raise ``BufferError``) and must
     # keep to the snapshot (lo, hi] taken when it started, even when
     # ``hi`` reaches past the index.
@@ -394,9 +530,9 @@ def test_memory_scan_survives_extend_between_yields(monkeypatch,
     make_text, make_alphabet = TEXTS["repeat-rich"]
     index = SpineIndex(make_text()[:2000], alphabet=make_alphabet())
     n = len(index)
-    every_node = dict.fromkeys(range(n + 1))
-    want = list(reference_entries(index, 0, n, 1, every_node))
-    sweep = index.iter_link_entries(0, n + past_end, 1, every_node)
+    want = list(reference_entries(index, 0, n, 1, set(range(n + 1))))
+    bitmap, base = target_bitmap(range(n + 1), n)
+    sweep = search.link_scan(index, 0, n + past_end, 1, bitmap, base)
     got = [next(sweep)]
     index.extend("ACGT")
     got.extend(sweep)
@@ -439,6 +575,9 @@ def per_record_sweep(disk, lo, hi, min_lel, targets):
                          [(1024, 4), (1024, 16), (4096, 4)])
 def test_disk_sweep_page_traffic_equals_per_record_sweep(page_size,
                                                          buffer_pages):
+    # Page-aligned windows of any stride look each LT page up once, in
+    # order, so the engine's scan costs the pool exactly what one
+    # per-record sweep of the whole range does.
     text = _repeat_rich(6000, 2)
     patterns_text = sample_patterns(text, 40, (3, 40), seed=5)
     runs = []
@@ -447,10 +586,15 @@ def test_disk_sweep_page_traffic_equals_per_record_sweep(page_size,
                               buffer_pages=buffer_pages)
         disk.extend(text)
         patterns = first_ends(disk, patterns_text)
-        sweep = ((lambda *a: per_record_sweep(disk, *a)) if per_record
-                 else disk.iter_link_entries)
-        answers = [drive(sweep, patterns, len(disk), window)
-                   for window in (len(disk), 257)]
+        n = len(disk)
+        if per_record:
+            answers = [reference_drive(
+                lambda *a: per_record_sweep(disk, *a), patterns, n)
+                for _ in range(3)]
+        else:
+            answers = [drive(disk, patterns, n, stride)
+                       for stride in (None, disk._lt.per_page,
+                                      3 * disk._lt.per_page)]
         runs.append((answers, dict(vars(disk.pagefile.metrics))))
     (got, got_io), (want, want_io) = runs
     assert got == want
