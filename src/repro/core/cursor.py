@@ -153,15 +153,15 @@ class StreamMatcher:
             raise SearchError("feed exactly one character")
         code = self.index.alphabet.encode_char(ch)
         prev_node, prev_length = self._node, self._length
+        result = self._result
         with self.index.read_locked():
-            hit = matching._extend(
-                self.index, self._node, self._length, code,
-                self._result, self._tracer.active)
+            # The stream keeps no per-position statistics.
+            self._node, self._length, checks, link_hops = search.walk(
+                self.index, (code,), prev_node, prev_length,
+                span=self._tracer.active, record=([], []))
+        result.checks += checks
+        result.link_hops += link_hops
         event = None
-        if hit is None:
-            self._node, self._length = 0, 0
-        else:
-            self._node, self._length = hit
         if self._length != prev_length + 1 \
                 and prev_length >= self.min_length:
             event = StreamEvent(query_end=self._consumed,

@@ -349,14 +349,17 @@ class SpineIndex:
         return self._extchains.get(node * self._asize + code, ())
 
     def vertebra_run(self, node, codes, i):
-        """How many leading ``codes[i:]`` equal the vertebra labels
-        after ``node`` (0 at the tail)."""
+        """How many leading ``codes[i:]`` (``i < len(codes)``) equal
+        the vertebra labels after ``node`` (0 at the tail)."""
         labels = self._codes
+        if node >= self._n or labels[node + 1] != codes[i]:
+            # Most calls of a matching-statistics walk end here.
+            return 0
         shift = node + 1 - i
         stop = i + self._n - node
         if stop > len(codes):
             stop = len(codes)
-        k = i
+        k = i + 1
         while k < stop and labels[k + shift] == codes[k]:
             k += 1
         return k - i
@@ -394,6 +397,9 @@ class SpineIndex:
     def extrib_count(self):
         """Total number of extrib elements across all chains."""
         return sum(len(chain) for chain in self._extchains.values())
+
+    #: Link-scan windows need not end on multiples of the stride.
+    scan_aligned = False
 
     @property
     def scan_stride(self):

@@ -76,72 +76,13 @@ class MaximalMatch:
         return self.query_start + self.length
 
 
-def _extend_longest(index, cur, length, code, result, span=None):
-    """Extend the longest possible suffix of the current match by ``code``.
-
-    Returns ``(node, new_length)`` or ``None`` when ``code`` extends not
-    even the empty suffix (the character does not occur in the data
-    string). ``cur`` must be the first-occurrence end node of the current
-    length-``length`` match, and its vertebra must not carry ``code``.
-    ``span`` is an active trace span (:mod:`repro.obs.trace`); edge
-    decisions and link hops land on it.
-
-    When the full-length edge fails, the rib for ``code`` at ``cur``
-    (if any) failed its threshold and so did every element of its
-    extrib chain, so the longest suffix recorded at ``cur`` that *does*
-    extend is the last one the edge rule rejected.
-    """
-    edge = search._edge
-    vertebra_run = index.vertebra_run
-    probe = (code,)
-    while True:
-        result.checks += 1
-        nxt, rejected = edge(index, cur, length, code, span)
-        if nxt is not None:
-            return nxt, length + 1
-        if cur == 0:
-            # At the root the match length is zero; no edge means the
-            # character is absent from the data string.
-            return None
-        dest, lel = index.link(cur)
-        if rejected is not None and rejected[1] >= lel:
-            # The longest extendable suffix is recorded at this node.
-            cand_dest, cand_pt = rejected
-            if span is not None:
-                span.event("pt-accept", node=cur, pt=cand_pt,
-                           pathlength=cand_pt, dest=cand_dest,
-                           shortened=True)
-            return cand_dest, cand_pt + 1
-        if span is not None:
-            span.event("link-hop", src=cur, dest=dest, lel=lel,
-                       pathlength=length)
-        cur = dest
-        length = lel
-        result.link_hops += 1
-        if vertebra_run(cur, probe, 0):
-            result.checks += 1
-            if span is not None:
-                span.vertebra(cur)
-            return cur + 1, length + 1
-
-
-def _extend(index, cur, length, code, result, span=None):
-    """:func:`_extend_longest` for any ``cur``: the vertebra first."""
-    if index.vertebra_run(cur, (code,), 0):
-        result.checks += 1
-        if span is not None:
-            span.vertebra(cur)
-        return cur + 1, length + 1
-    return _extend_longest(index, cur, length, code, result, span)
-
-
 def matching_statistics(index, query):
     """End-aligned matching statistics of ``query`` against the index.
 
     Returns a :class:`MatchingResult`; ``lengths[j]`` is the longest
-    suffix of ``query[:j+1]`` occurring in the data string. Runs on
-    every traversal layer, under its read lock, a vertebra run at a
-    time.
+    suffix of ``query[:j+1]`` occurring in the data string. One
+    :func:`repro.core.search.walk` in fallback mode, on every traversal
+    layer, under its read lock.
     """
     codes = index.alphabet.encode(query)
     prefix = index.NAME_PREFIX
@@ -155,41 +96,15 @@ def matching_statistics(index, query):
         started = time.perf_counter()
     result = MatchingResult()
     lengths = result.lengths
-    end_nodes = result.end_nodes
-    vertebra_run = index.vertebra_run
-    m = len(codes)
-    cur = 0
-    length = 0
-    j = 0
     with index.read_locked():
-        while j < m:
-            run = vertebra_run(cur, codes, j)
-            if run:
-                if span is not None:
-                    span.vertebra(cur, run)
-                result.checks += run
-                lengths.extend(range(length + 1, length + run + 1))
-                end_nodes.extend(range(cur + 1, cur + run + 1))
-                cur += run
-                length += run
-                j += run
-                if j == m:
-                    break
-            hit = _extend_longest(index, cur, length, codes[j], result,
-                                  span)
-            if hit is None:
-                cur, length = 0, 0
-            else:
-                cur, length = hit
-            lengths.append(length)
-            end_nodes.append(cur)
-            j += 1
+        _, _, result.checks, result.link_hops = search.walk(
+            index, codes, span=span, record=(lengths, result.end_nodes))
     if span is not None:
         tracer.finish(span, status="done", checks=result.checks,
                       link_hops=result.link_hops)
     if observing:
-        # One bulk publish per streamed query — the per-hop accounting
-        # already lives in the MatchingResult.
+        # One bulk publish per streamed query — the walk counts in
+        # locals.
         registry.counter(prefix + "matching.queries").inc()
         registry.counter(prefix + "matching.chars").inc(len(codes))
         registry.counter(prefix + "matching.checks").inc(result.checks)

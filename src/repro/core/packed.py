@@ -208,6 +208,9 @@ class PackedSpineIndex:
             lel = self._lel_overflow.get(i, lel)
         return dest, lel
 
+    #: Link-scan windows need not end on multiples of the stride.
+    scan_aligned = False
+
     @property
     def scan_stride(self):
         """Link-scan window stride: :data:`repro.core.search.SCAN_WINDOW`."""

@@ -17,9 +17,10 @@ decodes a window's candidates (``link_candidates``).
 Every verb here serves all three traversal layers — the reference
 :class:`~repro.core.index.SpineIndex`, the packed layout and the
 page-resident disk index — through the narrow layer protocol of
-``docs/api.md`` ("Layer protocol"), and the edge rule is written once,
-in :func:`step`. Metric and span names carry the
-layer's ``NAME_PREFIX`` (``""``, ``"packed."``, ``"disk."``). Every verb
+``docs/api.md`` ("Layer protocol"). The edge rule is written once, in
+the engine's one :func:`walk`, which traversal, matching statistics
+and the cursors all run. Metric and span names carry the layer's
+``NAME_PREFIX`` (``""``, ``"packed."``, ``"disk."``). Every verb
 takes an optional snapshot ``limit`` — answer against the prefix of
 that length (Section 2.7) — and an optional
 :class:`~repro.resilience.CancellationToken` ``cancel``.
@@ -49,16 +50,155 @@ SCAN_WINDOW = 1 << 14
 POLL_HITS = 1024
 
 
+def walk(index, codes, node=0, length=0, limit=None, cancel=None,
+         span=None, record=None):
+    """The engine's one walk (Section 4): consume ``codes`` from
+    ``node``, where a valid path of ``length`` characters ends.
+
+    Vertebras are consumed a run at a time (``vertebra_run``). Where the
+    vertebra does not carry the next code the edge rule applies: a rib
+    with ``pathlength <= PT``, else the first element of its extrib
+    chain with ``PT >= pathlength``. ``cancel`` is checkpointed once per
+    run or edge; ``span`` is an active trace span collecting every edge
+    decision (:mod:`repro.obs.trace`). The caller holds the layer's read
+    lock.
+
+    Traversal (``record`` is ``None``): a missing edge, or a step
+    landing beyond ``limit`` (default: the whole index), is a dead end —
+    by Section 2.7 that edge does not exist in the prefix sub-index, and
+    a run crossing ``limit`` dies on the vertebra into node ``limit +
+    1``. Matching statistics (``record`` a ``(lengths, end_nodes)`` pair
+    of lists, extended with every position's statistic): where the edge
+    fails, the longest suffix of the match that extends is the last rib
+    or extrib the rule rejected, when its PT covers the LEL of the
+    node's link; otherwise the walk hops the link — one hop disposes of
+    every suffix length between that LEL and the match length (Section
+    4.1) — and tries again. A code absent from the data string resets
+    the match to the root.
+
+    Returns ``(node, length, checks, link_hops)``: the end node (``None``
+    at a traversal dead end), the match length there, the suffix sets
+    checked — one per vertebra taken and per node at which an edge was
+    tried, Table 6's count; on a traversal exactly the codes consumed,
+    the failed one included — and the link hops taken.
+    """
+    n = len(index)
+    if limit is None or limit > n:
+        limit = n
+    vertebra_run = index.vertebra_run
+    rib_at = index.rib
+    extrib_chain = index.extrib_chain
+    link = index.link
+    checkpoint = None if cancel is None else cancel.checkpoint
+    fallback = record is not None
+    if fallback:
+        lengths, end_nodes = record
+    checks = link_hops = 0
+    m = len(codes)
+    i = 0
+    while i < m:
+        if checkpoint is not None:
+            checkpoint()
+        run = vertebra_run(node, codes, i)
+        if run:
+            if node + run > limit:
+                run = limit + 1 - node
+            if span is not None:
+                span.vertebra(node, run)
+            if fallback:
+                lengths.extend(range(length + 1, length + run + 1))
+                end_nodes.extend(range(node + 1, node + run + 1))
+            node += run
+            length += run
+            checks += run
+            i += run
+            if i == m or node > limit:
+                break
+        code = codes[i]
+        i += 1
+        while True:
+            checks += 1
+            rejected = rib = rib_at(node, code)
+            if rib is None:
+                if span is not None:
+                    span.event("no-edge", node=node, code=code,
+                               pathlength=length)
+            else:
+                dest, pt = rib
+                if span is not None:
+                    span.event("enter-rib", node=node, code=code,
+                               dest=dest, pt=pt, pathlength=length)
+                if length <= pt:
+                    if span is not None:
+                        span.event("pt-accept", node=node, pt=pt,
+                                   pathlength=length, dest=dest)
+                    node = dest
+                    length += 1
+                    break
+                if span is not None:
+                    span.event("pt-reject", node=node, pt=pt,
+                               pathlength=length)
+                for dest, pt in extrib_chain(node, code):
+                    if span is not None:
+                        span.event("extrib-fallthrough", node=node, pt=pt,
+                                   pathlength=length, dest=dest,
+                                   taken=pt >= length)
+                    if pt >= length:
+                        break
+                    rejected = dest, pt
+                else:
+                    dest = None
+                    if span is not None:
+                        span.event("no-edge", node=node, code=code,
+                                   pathlength=length, exhausted="extribs")
+                if dest is not None:
+                    node = dest
+                    length += 1
+                    break
+            if not fallback:
+                node = None
+                break
+            if node == 0:
+                # No edge at the root: the code is absent from the data.
+                length = 0
+                break
+            dest, lel = link(node)
+            if rejected is not None and rejected[1] >= lel:
+                dest, pt = rejected
+                if span is not None:
+                    span.event("pt-accept", node=node, pt=pt, pathlength=pt,
+                               dest=dest, shortened=True)
+                node = dest
+                length = pt + 1
+                break
+            if span is not None:
+                span.event("link-hop", src=node, dest=dest, lel=lel,
+                           pathlength=length)
+            node = dest
+            length = lel
+            link_hops += 1
+            if vertebra_run(node, (code,), 0):
+                checks += 1
+                if span is not None:
+                    span.vertebra(node)
+                node += 1
+                length += 1
+                break
+        if node is None or node > limit:
+            break
+        if fallback:
+            lengths.append(length)
+            end_nodes.append(node)
+    if node is not None and node > limit:
+        node = None
+    return node, length, checks, link_hops
+
+
 def step(index, node, pathlength, code, span=None):
     """One forward move of a valid path: from ``node`` after having
-    matched ``pathlength`` characters, consume ``code``.
-
-    Returns the destination node, or ``None`` when no valid edge exists
-    (Section 4): a vertebra is always traversable, a rib needs
-    ``pathlength <= PT``, and a failed rib falls through to the first
-    element of its extrib chain with ``PT >= pathlength``. ``span`` is
-    an active trace span (:mod:`repro.obs.trace`); each edge decision
-    is recorded on it. The caller holds the layer's read lock.
+    matched ``pathlength`` characters, consume ``code`` — a one-code
+    :func:`walk`. Returns the destination node, or ``None`` when no
+    valid edge exists (Section 4).
 
     On the paper's ``aaccacaaca``, ``accaa`` dies at node 5, whose rib
     for ``a`` has PT 2 < pathlength 4, while ``acaa`` takes the extrib
@@ -72,48 +212,7 @@ def step(index, node, pathlength, code, span=None):
     >>> step(idx, 3, 2, a)
     7
     """
-    if index.vertebra_run(node, (code,), 0):
-        if span is not None:
-            span.vertebra(node)
-        return node + 1
-    return _edge(index, node, pathlength, code, span)[0]
-
-
-def _edge(index, node, pathlength, code, span):
-    """The rib/extrib half of :func:`step`, for a ``node`` whose
-    vertebra does not carry ``code``: ``(dest or None, rejected)``, with
-    ``rejected`` the last ``(dest, PT)`` whose PT was below
-    ``pathlength`` (or ``None``)."""
-    rib = index.rib(node, code)
-    if rib is None:
-        if span is not None:
-            span.event("no-edge", node=node, code=code,
-                       pathlength=pathlength)
-        return None, None
-    dest, pt = rib
-    if span is not None:
-        span.event("enter-rib", node=node, code=code, dest=dest, pt=pt,
-                   pathlength=pathlength)
-    if pathlength <= pt:
-        if span is not None:
-            span.event("pt-accept", node=node, pt=pt,
-                       pathlength=pathlength, dest=dest)
-        return dest, None
-    if span is not None:
-        span.event("pt-reject", node=node, pt=pt, pathlength=pathlength)
-    rejected = rib
-    for e_dest, e_pt in index.extrib_chain(node, code):
-        taken = e_pt >= pathlength
-        if span is not None:
-            span.event("extrib-fallthrough", node=node, pt=e_pt,
-                       pathlength=pathlength, dest=e_dest, taken=taken)
-        if taken:
-            return e_dest, rejected
-        rejected = e_dest, e_pt
-    if span is not None:
-        span.event("no-edge", node=node, code=code,
-                   pathlength=pathlength, exhausted="extribs")
-    return None, rejected
+    return walk(index, (code,), node, pathlength, span=span)[0]
 
 
 def find_first_end(index, codes, limit=None, cancel=None, span=None,
@@ -122,45 +221,18 @@ def find_first_end(index, codes, limit=None, cancel=None, span=None,
     of length ``limit`` (default: the whole index), or ``None``.
 
     ``codes`` is a sequence of alphabet codes; the empty sequence ends
-    at the root (node 0); vertebras are consumed a run at a time. A
-    step landing beyond ``limit`` is a dead end: by Section 2.7 that
-    edge does not exist in the prefix sub-index (edges planted after
-    character ``limit`` always point past it). ``cancel`` is
-    checkpointed once per run or edge (an amortized integer decrement —
-    see :mod:`repro.resilience.deadline`). ``span`` is an active trace
-    span collecting every edge decision (:mod:`repro.obs.trace`);
-    ``metrics`` is an enabled registry that receives one bulk
-    ``search.steps`` update (characters consumed) per call, never one
-    per character.
+    at the root (node 0). One traversal :func:`walk` from the root;
+    ``cancel`` is checkpointed once per run or edge (an amortized
+    integer decrement — see :mod:`repro.resilience.deadline`), ``span``
+    collects every edge decision, and ``metrics`` is an enabled
+    registry that receives one bulk ``search.steps`` update (characters
+    consumed) per call, never one per character.
     """
-    if limit is None:
-        limit = len(index)
-    vertebra_run = index.vertebra_run
-    checkpoint = None if cancel is None else cancel.checkpoint
-    m = len(codes)
-    node = 0
-    i = 0
-    while i < m:
-        if checkpoint is not None:
-            checkpoint()
-        run = vertebra_run(node, codes, i)
-        if run:
-            if node + run > limit:
-                # The run dies on the vertebra into node limit + 1.
-                run = limit + 1 - node
-            if span is not None:
-                span.vertebra(node, run)
-            node += run
-            i += run
-            if i == m or node > limit:
-                break
-        node = _edge(index, node, i, codes[i], span)[0]
-        i += 1
-        if node is None or node > limit:
-            break
+    node, _, steps, _ = walk(index, codes, limit=limit, cancel=cancel,
+                             span=span)
     if metrics is not None:
-        metrics.counter(index.NAME_PREFIX + "search.steps").inc(i)
-    return None if node is None or node > limit else node
+        metrics.counter(index.NAME_PREFIX + "search.steps").inc(steps)
+    return node
 
 
 def _lookup(verb, index, pattern, limit, cancel, scan):
@@ -390,19 +462,23 @@ def link_scan(index, lo, hi, min_lel, bitmap, base, cancel=None):
     node ``base + k``; byte 0 stays clear. The caller may set bytes
     between yields, but only those of nodes already yielded.
 
-    Windows end on multiples of the layer's ``scan_stride`` (whole LT
-    pages on disk, so no page is looked up twice). The layer decodes a
-    window (``link_candidates``) and :func:`reaching_entries` decides
-    it. ``cancel`` is polled before every window.
+    Windows hold the layer's ``scan_stride`` positions from ``lo + 1``
+    on; on a layer whose ``scan_aligned`` is set they end on multiples
+    of the stride instead (whole LT pages on disk, so no page is looked
+    up twice). The layer decodes a window (``link_candidates``) and
+    :func:`reaching_entries` decides it. ``cancel`` is polled before
+    every window.
     """
     stride = index.scan_stride
+    aligned = index.scan_aligned
     hi = min(hi, len(index))
     link_candidates = index.link_candidates
     start = lo + 1
     while start <= hi:
         if cancel is not None:
             cancel.poll()
-        stop = min((start // stride + 1) * stride, hi + 1)
+        stop = min((start // stride + 1) * stride if aligned
+                   else start + stride, hi + 1)
         columns = link_candidates(start, stop, min_lel)
         if columns is not None:
             yield from reaching_entries(*columns, bitmap, base)

@@ -1207,6 +1207,9 @@ class DiskSpineIndex:
         dest, lel, _ = self._lt_read(i)
         return dest, lel
 
+    #: Link-scan windows end on multiples of the stride: whole pages.
+    scan_aligned = True
+
     @property
     def scan_stride(self):
         """Link-scan window stride: the whole LT pages that fit in

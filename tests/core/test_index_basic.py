@@ -106,6 +106,37 @@ class TestAccessors:
         assert index.count("q" if "q" in index.alphabet else "cc") == 1
 
 
+class TestStructuralEquality:
+    """``structurally_equal`` sees a change to any part of the index."""
+
+    def test_identical_indexes_are_equal(self):
+        assert SpineIndex("aaccacaaca").structurally_equal(
+            SpineIndex("aaccacaaca"))
+
+    def test_length_difference_detected(self):
+        assert not SpineIndex("aacc").structurally_equal(
+            SpineIndex("aaccac"))
+
+    def test_link_corruption_detected(self):
+        a = SpineIndex("aaccacaaca")
+        b = SpineIndex("aaccacaaca")
+        b._link_lel[7] = 1
+        assert not a.structurally_equal(b)
+
+    def test_rib_difference_detected(self):
+        a = SpineIndex("aaccacaaca")
+        b = SpineIndex("aaccacaaca")
+        del b._ribs[next(iter(b._ribs))]
+        assert not a.structurally_equal(b)
+
+    def test_extrib_difference_detected(self):
+        a = SpineIndex("aaccacaaca")
+        b = SpineIndex("aaccacaaca")
+        key = next(iter(b._extchains))
+        b._extchains[key] = b._extchains[key][:-1]
+        assert not a.structurally_equal(b)
+
+
 class TestStatsTracking:
     def test_counters_populated_when_tracking(self):
         tracked = SpineIndex("aaccacaaca" * 3, track_stats=True)

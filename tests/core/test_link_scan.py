@@ -265,6 +265,36 @@ def test_cancelled_scan_stops_within_one_window(monkeypatch, long_index,
     assert sum(asked) <= k * index.scan_stride
 
 
+def test_windows_start_at_the_first_scanned_node(monkeypatch, long_index):
+    # Memory and packed windows run a stride at a time from the first
+    # scanned node, so a scan over L positions takes ceil(L / stride)
+    # windows; disk windows end on multiples of its stride (whole LT
+    # pages), the last one at the tail.
+    index, text = long_index
+    stride = index.scan_stride
+    n = len(index)
+    windows = []
+    decode = index.link_candidates
+
+    def recorded(start, stop, min_lel):
+        windows.append((start, stop))
+        return decode(start, stop, min_lel)
+
+    monkeypatch.setattr(index, "link_candidates", recorded)
+    for start in (5, stride - 3, stride + 17, 3 * stride + 1):
+        pattern = text[start:start + 12]
+        first = search.find_first_end(index, index.alphabet.encode(pattern))
+        windows.clear()
+        search.find_all(index, pattern)
+        assert windows[0][0] == first + 1
+        assert windows[-1][1] == n + 1
+        assert all(a[1] == b[0] for a, b in zip(windows, windows[1:]))
+        if index.scan_aligned:
+            assert all(stop % stride == 0 for _, stop in windows[:-1])
+        else:
+            assert len(windows) == -(-(n - first) // stride)
+
+
 def test_dense_cancelled_scan_stops_within_poll_hits(monkeypatch,
                                                      long_index):
     # A 1-char pattern matches about a quarter of the positions, so one

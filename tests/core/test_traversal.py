@@ -1,18 +1,21 @@
 """The traversal half of the layer protocol, on every layer.
 
-One edge rule (``repro.core.search``) runs over each layer's
-``vertebra_run``, ``rib`` and ``extrib_chain``. These tests pin the run
-accessor's contract, the snapshot ``limit`` on a run, and that the
-run-at-a-time engine records exactly the trace events and counts of a
-per-character walk with ``search.step``.
+One engine walk (``repro.core.search.walk``) applies the edge rule over
+each layer's ``vertebra_run``, ``rib`` and ``extrib_chain``. These tests
+pin the run accessor's contract, the snapshot ``limit`` on a run, and
+that the run-at-a-time walk records exactly the trace events and counts
+of a per-character walk with ``search.step``.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import matching
-from repro.core.matching import MatchingResult
+from repro.core.matching import (MatchingResult,
+                                 brute_force_matching_statistics)
 from repro.core.search import find_first_end, step
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Span, tracing_enabled
@@ -243,3 +246,52 @@ class TestTraceEvents:
                 reference = reference_matching(idx, codes, ref)
                 assert got == expected == reference, name
                 assert events == ref.events, name
+
+
+@st.composite
+def texts_and_queries(draw):
+    """A small DNA or binary text, or the paper string, with a query
+    over its symbols (now and then one the text lacks) and a pattern
+    that often occurs in it."""
+    kind = draw(st.sampled_from(["dna", "binary", "paper"]))
+    if kind == "paper":
+        text = PAPER_STRING
+    else:
+        symbols = "acgt" if kind == "dna" else "ac"
+        text = draw(st.text(alphabet=symbols, min_size=1, max_size=60))
+    query = draw(st.text(alphabet=sorted(set(text)) + ["g"], max_size=40))
+    start = draw(st.integers(0, len(text) - 1))
+    pattern = text[start:start + draw(st.integers(1, 12))]
+    if draw(st.booleans()):
+        pattern += draw(st.sampled_from("acgt"))
+    return text, query, pattern
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=texts_and_queries(), coalesce=st.booleans())
+def test_walk_equals_references_on_every_layer(case, coalesce):
+    text, query, pattern = case
+    oracle = brute_force_matching_statistics(text, query)
+    with three_layers(text) as layers:
+        for name, idx in layers.items():
+            codes = idx.alphabet.encode(query)
+            # Warm the disk pool: no page-fetch events below.
+            expected = matching.matching_statistics(idx, query)
+            with tracing_enabled(coalesce_vertebras=coalesce) as tr:
+                got = matching.matching_statistics(idx, query)
+                events = tr.spans[-1].events
+            ref = Span(2, "step", coalesce=coalesce)
+            assert got == expected == reference_matching(idx, codes, ref), \
+                name
+            assert got.lengths == oracle, name
+            assert events == ref.events, name
+            # Every snapshot limit, those inside a vertebra run included:
+            # the first occurrence inside the prefix, or a dead end.
+            pattern_codes = idx.alphabet.encode(pattern)
+            for limit in range(len(text) + 1):
+                start = text[:limit].find(pattern)
+                want = None if start < 0 else start + len(pattern)
+                assert find_first_end(idx, pattern_codes, limit) == want, \
+                    (name, limit)
+                assert reference_first_end(idx, pattern_codes,
+                                           limit)[0] == want, (name, limit)
