@@ -77,21 +77,17 @@ class LayerUnderTest:
 
     def query(self, op, pattern):
         """Normalized outcome of one query (``pattern`` is the whole
-        query string of a streaming verb)."""
-        from repro.core import matching
-
+        query string of a streaming verb), asked through the layer's
+        own verb."""
         try:
+            value = getattr(self.index, op)(pattern)
             if op == "matching_statistics":
-                value = matching.matching_statistics(
-                    self.index, pattern).lengths
+                value = value.lengths
             elif op == "maximal_matches":
                 value = [[m.query_start, m.length, list(m.data_starts)]
-                         for m in matching.maximal_matches(
-                             self.index, pattern)[0]]
-            else:
-                value = getattr(self.index, op)(pattern)
-                if op == "find_all":
-                    value = list(value)
+                         for m in value[0]]
+            elif op == "find_all":
+                value = list(value)
         except ReproError as exc:
             return ("error", type(exc).__name__)
         return self._inject(op, pattern, ("ok", value))
@@ -100,14 +96,7 @@ class LayerUnderTest:
         """Normalized batched ``find_all``: a list of
         ``(status, starts)`` pairs, or one ``("error", name)``."""
         try:
-            if self.name == "shard":
-                results = self.index.batch_find_all(patterns,
-                                                    threads=threads)
-            else:
-                from repro.core.batch import batch_find_all
-
-                results = batch_find_all(self.index, patterns,
-                                         threads=threads)
+            results = self.index.batch_find_all(patterns, threads=threads)
         except ReproError as exc:
             return ("error", type(exc).__name__)
         out = []

@@ -11,6 +11,8 @@ Public surface:
 * :mod:`repro.core.matching` — matching statistics and the paper's
   "all maximal matching substrings" operation (Section 4), with
   instrumented check counting for Table 6.
+* :mod:`repro.core.verbs` — the query methods every traversal layer
+  inherits, each a call to the engine function of the same name.
 * :class:`repro.core.generalized.GeneralizedSpineIndex` — one index over
   several strings (Section 1.1).
 * :mod:`repro.core.stats` — the structural statistics behind Tables 3-4

@@ -197,9 +197,7 @@ def batch_find_all(index, patterns, threads=1, limit=None,
     if multithreaded:
         # Must happen before we hold the read lock: the transition
         # briefly takes the pool's write lock.
-        enable = getattr(index, "enable_concurrent_reads", None)
-        if enable is not None:
-            enable()
+        index.enable_concurrent_reads()
     def _traverse(codes):
         # One child token per traversal: the amortization counter is
         # not thread-safe, so workers must not share one.

@@ -56,13 +56,14 @@ import numpy as np
 
 from repro.alphabet import alphabet_for, dna_alphabet
 from repro.core import search
+from repro.core.verbs import LayerVerbs
 from repro.exceptions import ConstructionError, SearchError
 from repro.obs import get_registry
 
 _UNLOCKED = contextlib.nullcontext()
 
 
-class SpineIndex:
+class SpineIndex(LayerVerbs):
     """Horizontally-compacted trie index over a single string.
 
     The reference layer of the query engine's layer protocol
@@ -440,7 +441,7 @@ class SpineIndex:
         }
 
     # ------------------------------------------------------------------
-    # queries (the engine in repro.core.search / repro.core.matching)
+    # queries (the verbs of repro.core.verbs run the engine)
     # ------------------------------------------------------------------
 
     def read_locked(self):
@@ -448,22 +449,6 @@ class SpineIndex:
         in-memory index is consistent for any snapshot-bounded reader
         (see :meth:`append_code`)."""
         return _UNLOCKED
-
-    def contains(self, pattern):
-        """True iff ``pattern`` is a substring of the indexed string."""
-        return search.contains(self, pattern)
-
-    def find_first(self, pattern):
-        """0-indexed start of the first occurrence, or ``None``."""
-        return search.find_first(self, pattern)
-
-    def find_all(self, pattern):
-        """Sorted 0-indexed starts of every occurrence."""
-        return search.find_all(self, pattern)
-
-    def count(self, pattern):
-        """Number of (possibly overlapping) occurrences."""
-        return search.count(self, pattern)
 
     # ------------------------------------------------------------------
     # prefix partitioning (Section 2.7)

@@ -40,8 +40,9 @@ import contextlib
 
 import numpy as np
 
-from repro.core import matching, search
+from repro.core import search
 from repro.core.index import SpineIndex
+from repro.core.verbs import LayerVerbs
 from repro.exceptions import ConstructionError, SearchError
 
 _UNLOCKED = contextlib.nullcontext()
@@ -76,7 +77,7 @@ class RibTable:
         return self.ld.shape[0]
 
 
-class PackedSpineIndex:
+class PackedSpineIndex(LayerVerbs):
     """Immutable, array-backed SPINE in the Section 5 layout.
 
     Build with :meth:`from_index`; query with the same search surface as
@@ -303,33 +304,13 @@ class PackedSpineIndex:
     vertebra_run = SpineIndex.vertebra_run
 
     # ------------------------------------------------------------------
-    # queries (the engine in repro.core.search / repro.core.matching)
+    # queries (the verbs of repro.core.verbs run the engine)
     # ------------------------------------------------------------------
 
     def read_locked(self):
         """The layer protocol's read lock: a null context (the packed
         form is immutable)."""
         return _UNLOCKED
-
-    def contains(self, pattern):
-        """True iff ``pattern`` occurs in the indexed string."""
-        return search.contains(self, pattern)
-
-    def find_first(self, pattern):
-        """0-indexed start of the first occurrence, or ``None``."""
-        return search.find_first(self, pattern)
-
-    def find_all(self, pattern):
-        """Sorted 0-indexed starts of all occurrences."""
-        return search.find_all(self, pattern)
-
-    def count(self, pattern):
-        """Number of (overlapping) occurrences of ``pattern``."""
-        return search.count(self, pattern)
-
-    def matching_statistics(self, query):
-        """Matching statistics against the packed layout."""
-        return matching.matching_statistics(self, query)
 
     # ------------------------------------------------------------------
     # space accounting

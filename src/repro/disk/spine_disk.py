@@ -48,7 +48,8 @@ import zlib
 import numpy as np
 
 from repro.alphabet import Alphabet, dna_alphabet
-from repro.core import matching, search
+from repro.core import search
+from repro.core.verbs import LayerVerbs
 from repro.exceptions import ConstructionError, SearchError, StorageError
 from repro.obs import get_registry, record_io_snapshot
 from repro.storage.buffer import (
@@ -269,7 +270,7 @@ class _Region:
         return page_id, self.pool.get(page_id, load=not fresh), slot
 
 
-class DiskSpineIndex:
+class DiskSpineIndex(LayerVerbs):
     """Online, page-resident SPINE over a single string.
 
     Parameters
@@ -1244,33 +1245,6 @@ class DiskSpineIndex:
         # int32/uint16 columns sized by the window's candidates.
         return (np.concatenate(nodes), np.concatenate(dests),
                 np.concatenate(lels))
-
-    def contains(self, pattern):
-        """True iff ``pattern`` occurs in the indexed string."""
-        return search.contains(self, pattern)
-
-    def find_first(self, pattern):
-        """Start of the first occurrence, or ``None`` (paper Section 4.1:
-        the traversal endpoint *is* the first occurrence's end node)."""
-        return search.find_first(self, pattern)
-
-    def find_all(self, pattern):
-        """Sorted 0-indexed starts of all occurrences (first occurrence
-        by traversal, repetitions by the sequential LT scan)."""
-        return search.find_all(self, pattern)
-
-    def count(self, pattern):
-        """Number of (overlapping) occurrences of ``pattern``."""
-        return search.count(self, pattern)
-
-    def matching_statistics(self, query):
-        """Disk-resident matching statistics."""
-        return matching.matching_statistics(self, query)
-
-    def maximal_matches(self, query, min_length=1):
-        """Right-maximal matches with all data positions, resolved by
-        one deferred LT scan (Section 4's batched strategy), on disk."""
-        return matching.maximal_matches(self, query, min_length)
 
     def io_snapshot(self):
         """Physical + buffer counters accumulated so far.

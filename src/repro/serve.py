@@ -46,8 +46,6 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.core import search
-from repro.core.batch import batch_find_all, check_executor_open
 from repro.exceptions import DeadlineExceededError, ServiceClosedError
 from repro.obs import get_registry
 from repro.obs.slowlog import get_slow_log
@@ -65,43 +63,46 @@ class SnapshotGuard:
     docstring for why this is consistent without locks on the
     in-memory layers.
 
-    Composite indexes (:class:`repro.shard.ShardedSpineIndex`) expose
-    their own bounded query methods (``contains_at`` / ``find_all_at``
-    / a ``limit``-aware ``batch_find_all``); the guard delegates to
-    those when present so per-shard routing stays inside the index,
-    and falls back to the query engine (:mod:`repro.core.search`,
-    :mod:`repro.core.batch`) for a single layer otherwise.
-
-    ``cancel`` parameters take a
-    :class:`~repro.resilience.CancellationToken`; ``degraded`` is
-    meaningful only for composite indexes (a flat index has no shards
-    to lose) and is ignored by the flat fallback.
+    Every index type — the three traversal layers and
+    :class:`repro.shard.ShardedSpineIndex` — answers the same verbs
+    with ``limit=`` and ``cancel=`` (a
+    :class:`~repro.resilience.CancellationToken`), so each method is
+    one call to the index's own verb. ``degraded`` is meaningful only
+    for a sharded index (a flat index has no shards to lose); whether
+    to pass it on is decided once, here, and a flat index never sees
+    it.
     """
 
-    __slots__ = ("index", "limit")
+    __slots__ = ("index", "limit", "_sharded")
 
     def __init__(self, index, limit=None):
         self.index = index
         self.limit = len(index) if limit is None else min(limit,
                                                           len(index))
+        # A sharded index carries a ``degraded`` default to override.
+        self._sharded = hasattr(index, "degraded")
 
     def __len__(self):
         return self.limit
 
+    def _degraded(self, degraded):
+        return {"degraded": degraded} if self._sharded else {}
+
     def contains(self, pattern, cancel=None):
         """``pattern in prefix`` (clean False on foreign characters)."""
-        bound = getattr(self.index, "contains_at", None)
-        if bound is not None:
-            return bound(pattern, self.limit, cancel=cancel)
-        return search.contains(self.index, pattern, self.limit, cancel)
+        return self.index.contains(pattern, limit=self.limit,
+                                   cancel=cancel)
+
+    def find_first(self, pattern, cancel=None):
+        """Start of the first occurrence within the snapshot."""
+        return self.index.find_first(pattern, limit=self.limit,
+                                     cancel=cancel)
 
     def find_all(self, pattern, cancel=None, degraded=None):
         """Sorted starts of all occurrences within the snapshot."""
-        bound = getattr(self.index, "find_all_at", None)
-        if bound is not None:
-            return bound(pattern, self.limit, cancel=cancel,
-                         degraded=degraded)
-        return search.find_all(self.index, pattern, self.limit, cancel)
+        return self.index.find_all(pattern, limit=self.limit,
+                                   cancel=cancel,
+                                   **self._degraded(degraded))
 
     def batch_find_all(self, patterns, threads=1, executor=None,
                        cancel=None, degraded=None):
@@ -115,17 +116,10 @@ class SnapshotGuard:
         :class:`~repro.exceptions.ServiceClosedError` before any
         traversal starts.
         """
-        if threads < 1:
-            raise ValueError("threads must be >= 1")
-        check_executor_open(executor)
-        bound = getattr(self.index, "batch_find_all", None)
-        if bound is not None:
-            return bound(patterns, threads=threads, limit=self.limit,
-                         executor=executor, cancel=cancel,
-                         degraded=degraded)
-        return batch_find_all(self.index, patterns, threads=threads,
-                              limit=self.limit, executor=executor,
-                              cancel=cancel)
+        return self.index.batch_find_all(
+            patterns, threads=threads, limit=self.limit,
+            executor=executor, cancel=cancel,
+            **self._degraded(degraded))
 
 
 class QueryService:
@@ -194,9 +188,7 @@ class QueryService:
         self.degraded = degraded
         self.close_timeout = close_timeout
         self._write_mutex = threading.Lock()
-        enable = getattr(index, "enable_concurrent_reads", None)
-        if enable is not None:
-            enable()
+        index.enable_concurrent_reads()
         self._executor = (ThreadPoolExecutor(
             max_workers=threads,
             thread_name_prefix="repro-serve")

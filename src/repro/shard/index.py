@@ -24,13 +24,15 @@ the overlap and be silently missed, so every query entry point raises
 :class:`~repro.exceptions.SearchError` for such patterns instead of
 risking a wrong answer.
 
-Snapshot semantics (``*_at`` methods) carry over shard-locally: the
-global prefix of length ``L`` restricted to shard ``i`` is exactly the
-local prefix of length ``clamp(L - start_i, 0, local_len)``, so the
-Section 2.7 prefix property each shard already provides composes into
-a lock-free consistent view of the whole — provided ``extend``
-publishes in the right order (feed draining sealed shards, then the
-tail, then advance the global length).
+The query verbs take the flat layers' signatures (``contains``,
+``find_first``, ``find_all``, ``count`` and ``batch_find_all`` with
+``limit=None, cancel=None``). A snapshot ``limit`` carries over
+shard-locally: the global prefix of length ``L`` restricted to shard
+``i`` is exactly the local prefix of length ``clamp(L - start_i, 0,
+local_len)``, so the Section 2.7 prefix property each shard already
+provides composes into a lock-free consistent view of the whole —
+provided ``extend`` publishes in the right order (feed draining sealed
+shards, then the tail, then advance the global length).
 """
 
 from __future__ import annotations
@@ -246,10 +248,7 @@ class ShardedSpineIndex:
         remembered so shards created by later splits inherit it."""
         self._concurrent = True
         for shard in self._shards:
-            enable = getattr(shard.index, "enable_concurrent_reads",
-                             None)
-            if enable is not None:
-                enable()
+            shard.index.enable_concurrent_reads()
 
     def enable_breakers(self, failure_threshold=5, reset_timeout=1.0,
                         success_threshold=1, clock=time.monotonic):
@@ -404,10 +403,7 @@ class ShardedSpineIndex:
                     new_index.checkpoint()
                     shard.index.abort()
                 if self._concurrent:
-                    enable = getattr(new_index,
-                                     "enable_concurrent_reads", None)
-                    if enable is not None:
-                        enable()
+                    new_index.enable_concurrent_reads()
                 shard.index = new_index
                 if self._breakers is not None:
                     self._breakers[shard_id] = CircuitBreaker(
@@ -434,8 +430,8 @@ class ShardedSpineIndex:
                                 chars=len(new_index))
             tracer.finish(span, status="repaired")
 
-    def _guard(self, i, fn, degraded, failed):
-        """Run one shard's query under its breaker.
+    def _guard(self, i, degraded, failed, fn, *args):
+        """Run one shard's query ``fn(*args)`` under its breaker.
 
         On success returns the shard's answer. On failure: strict mode
         re-raises; degraded mode records the error in ``failed[i]``
@@ -458,7 +454,7 @@ class ShardedSpineIndex:
         try:
             if breaker is not None:
                 breaker.allow()
-            result = fn()
+            result = fn(*args)
         except CircuitOpenError as exc:
             if degraded:
                 failed[i] = exc
@@ -493,14 +489,119 @@ class ShardedSpineIndex:
         return max(0, min(limit - shard.start, len(shard.index)))
 
     # -- queries -------------------------------------------------------
+    #
+    # Every verb runs one fan-out, :meth:`_routes` then :meth:`_answers`,
+    # over the shards' own engine calls.
 
-    def contains(self, pattern):
-        """True iff ``pattern`` occurs (cap-checked; clean ``False`` on
-        foreign characters, ``True`` for the empty pattern)."""
-        return self.contains_at(pattern, self._len)
+    def _routes(self, m, limit, span=None):
+        """``[(shard_id, shard, local_limit)]`` of the shards whose part
+        of the length-``limit`` prefix can hold a length-``m`` match,
+        in shard order (a ``shard-route`` event each)."""
+        limit = self._len if limit is None else min(limit, self._len)
+        routes = []
+        for i, shard in enumerate(self._shards):
+            bound = self._local_limit(shard, limit)
+            if bound < m:
+                continue
+            routes.append((i, shard, bound))
+            if span is not None:
+                span.event("shard-route", shard=i, start=shard.start,
+                           local_limit=bound)
+        return routes
 
-    def contains_at(self, pattern, limit, cancel=None):
-        """``contains`` evaluated against the length-``limit`` prefix.
+    def _answers(self, routes, verb, query, cancel, degraded=False,
+                 failed=None, span=None, mapper=map):
+        """Yield ``(shard, verb(shard.index, query, local_limit,
+        cancel))`` per route, in shard order, each under the shard's
+        breaker (:meth:`_guard`).
+
+        ``mapper`` runs the asks: the lazy builtin ``map`` (so a caller
+        can stop at the first hit) or an executor's. A shard that fails
+        in degraded mode lands in ``failed`` and is skipped.
+        """
+        if failed is None:
+            failed = {}
+
+        def ask(route):
+            i, shard, bound = route
+            return self._guard(i, degraded, failed, verb, shard.index,
+                               query, bound, cancel)
+
+        for (i, shard, _), answer in zip(routes, mapper(ask, routes)):
+            if i in failed:
+                if span is not None:
+                    span.event("shard-degraded", shard=i,
+                               error=type(failed[i]).__name__)
+                continue
+            yield shard, answer
+
+    @staticmethod
+    def _merge(answers):
+        """Rebase each shard's local starts and drop those in its
+        overlap (the next shard owns them): ``(starts, dropped)``."""
+        merged = []
+        dropped = 0
+        for shard, local in answers:
+            kept = [s + shard.start for s in local if s < shard.owned_len]
+            dropped += len(local) - len(kept)
+            merged.extend(kept)
+        return merged, dropped
+
+    @staticmethod
+    def _result(starts, degraded, failed):
+        """``starts`` as the answer: a
+        :class:`~repro.resilience.PartialResult` in degraded mode."""
+        if not degraded:
+            return starts
+        return PartialResult(starts, complete=not failed,
+                             failed_shards=sorted(failed), errors=failed)
+
+    def _begin(self, name, **attrs):
+        """Open the span of one scatter-gather call: ``(span, t0)``."""
+        tracer = get_tracer()
+        span = (tracer.begin(name, shards=len(self._shards), **attrs)
+                if tracer.enabled else None)
+        return span, time.perf_counter()
+
+    @staticmethod
+    def _fail(span, exc):
+        if span is not None:
+            get_tracer().finish(span, status="error",
+                                error=type(exc).__name__)
+
+    @staticmethod
+    def _finish(span, started, counter, routed, kept, dropped, failed,
+                **status):
+        """The ``shard-merge`` event, the metrics and the span close of
+        one scatter-gather call."""
+        if span is not None:
+            span.event("shard-merge", kept=kept, dropped=dropped,
+                       routed=routed, failed=len(failed))
+        registry = get_registry()
+        if registry.enabled:
+            registry.counter(counter).inc()
+            registry.counter("shard.route.fanout").inc(routed)
+            registry.counter("shard.merge.dropped").inc(dropped)
+            if failed:
+                registry.counter("resilience.degraded.queries").inc()
+                registry.counter("resilience.degraded.failed_shards") \
+                    .inc(len(failed))
+            registry.observe_latency("shard.query",
+                                     time.perf_counter() - started)
+        if span is not None:
+            get_tracer().finish(span, failed_shards=sorted(failed),
+                                **status)
+
+    def _encodable(self, pattern):
+        """Cap-check ``pattern``; False when it has a foreign character
+        (it occurs nowhere, so no shard is asked)."""
+        self._check_pattern(pattern)
+        return self.alphabet.try_encode(pattern) is not None
+
+    def contains(self, pattern, limit=None, cancel=None):
+        """True iff ``pattern`` occurs in the length-``limit`` prefix
+        (cap-checked; clean ``False`` on foreign characters, ``True``
+        for the empty pattern).
 
         Always strict: a boolean cannot express "some shards did not
         answer", so shard failures (and open breakers) raise rather
@@ -508,30 +609,35 @@ class ShardedSpineIndex:
         """
         if pattern == "":
             return True
-        self._check_pattern(pattern)
-        if self.alphabet.try_encode(pattern) is None:
+        if not self._encodable(pattern):
             return False
-        m = len(pattern)
-        for i, shard in enumerate(self._shards):
-            bound = self._local_limit(shard, limit)
-            if bound < m:
-                continue
-            hit = self._guard(
-                i,
-                lambda: search.contains(shard.index, pattern, bound,
-                                        cancel),
-                degraded=False, failed={})
-            if hit:
-                return True
-        return False
+        routes = self._routes(len(pattern), limit)
+        return any(hit for _, hit in self._answers(
+            routes, search.contains, pattern, cancel))
 
-    def find_all(self, pattern):
-        """Sorted global starts of all occurrences — byte-identical to
-        the unsharded index's answer for patterns within the cap."""
-        return self.find_all_at(pattern, self._len)
+    def find_first(self, pattern, limit=None, cancel=None):
+        """Global start of the first occurrence, or ``None``.
 
-    def find_all_at(self, pattern, limit, cancel=None, degraded=None):
-        """``find_all`` evaluated against the length-``limit`` prefix.
+        Shards are asked in order; the first shard whose earliest local
+        hit lands in its owned span yields the answer (a hit in the
+        overlap region belongs to — and recurs in — a later shard).
+        Strict, like :meth:`contains`.
+        """
+        if pattern == "":
+            return 0
+        if not self._encodable(pattern):
+            return None
+        routes = self._routes(len(pattern), limit)
+        for shard, local in self._answers(routes, search.find_first,
+                                          pattern, cancel):
+            if local is not None and local < shard.owned_len:
+                return local + shard.start
+        return None
+
+    def find_all(self, pattern, limit=None, cancel=None, degraded=None):
+        """Sorted global starts of all occurrences in the
+        length-``limit`` prefix — byte-identical to the unsharded
+        index's answer for patterns within the cap.
 
         ``degraded`` overrides the index-level :attr:`degraded`
         default. In degraded mode the answer is a
@@ -546,112 +652,29 @@ class ShardedSpineIndex:
         if pattern == "":
             raise SearchError(
                 "find_all of the empty pattern is ill-defined")
-        self._check_pattern(pattern)
+        encodable = self._encodable(pattern)
         if degraded is None:
             degraded = self.degraded
-        registry = get_registry()
-        metrics = registry if registry.enabled else None
-        tracer = get_tracer()
-        span = (tracer.begin("shard.find_all", pattern=pattern,
-                             shards=len(self._shards))
-                if tracer.enabled else None)
-        if metrics is not None:
-            started = time.perf_counter()
-        try:
-            starts, routed, dropped, failed = self._scatter_find(
-                pattern, limit, span, cancel=cancel, degraded=degraded)
-        except BaseException as exc:
-            if span is not None:
-                tracer.finish(span, status="error",
-                              error=type(exc).__name__)
-            raise
-        if metrics is not None:
-            metrics.counter("shard.queries").inc()
-            metrics.counter("shard.route.fanout").inc(routed)
-            metrics.counter("shard.merge.dropped").inc(dropped)
-            if failed:
-                metrics.counter("resilience.degraded.queries").inc()
-                metrics.counter("resilience.degraded.failed_shards") \
-                    .inc(len(failed))
-            metrics.observe_latency("shard.query",
-                                    time.perf_counter() - started)
-        if span is not None:
-            tracer.finish(span, status="hit" if starts else "miss",
-                          occurrences=len(starts),
-                          failed_shards=sorted(failed))
-        if degraded:
-            return PartialResult(starts, complete=not failed,
-                                 failed_shards=sorted(failed),
-                                 errors=failed)
-        return starts
-
-    def _scatter_find(self, pattern, limit, span=None, cancel=None,
-                      degraded=False):
-        """The scatter-gather core: per-shard hits, rebase, dedup.
-
-        Returns ``(merged, routed, dropped, failed)`` with ``failed``
-        a ``{shard_id: error}`` dict (always empty in strict mode —
-        failures raise there instead).
-        """
-        if self.alphabet.try_encode(pattern) is None:
-            return [], 0, 0, {}
-        m = len(pattern)
-        merged = []
-        routed = dropped = 0
+        span, started = self._begin("shard.find_all", pattern=pattern)
         failed = {}
-        for i, shard in enumerate(self._shards):
-            bound = self._local_limit(shard, limit)
-            if bound < m:
-                continue
-            routed += 1
-            if span is not None:
-                span.event("shard-route", shard=i, start=shard.start,
-                           local_limit=bound)
-            local = self._guard(
-                i,
-                lambda: search.find_all(shard.index, pattern, bound,
-                                        cancel),
-                degraded, failed)
-            if i in failed:
-                if span is not None:
-                    span.event("shard-degraded", shard=i,
-                               error=type(failed[i]).__name__)
-                continue
-            kept = [s + shard.start for s in local
-                    if s < shard.owned_len]
-            dropped += len(local) - len(kept)
-            merged.extend(kept)
-        if span is not None:
-            span.event("shard-merge", kept=len(merged),
-                       dropped=dropped, routed=routed,
-                       failed=len(failed))
-        return merged, routed, dropped, failed
+        try:
+            routes = (self._routes(len(pattern), limit, span)
+                      if encodable else [])
+            starts, dropped = self._merge(self._answers(
+                routes, search.find_all, pattern, cancel, degraded,
+                failed, span))
+        except BaseException as exc:
+            self._fail(span, exc)
+            raise
+        self._finish(span, started, "shard.queries", len(routes),
+                     len(starts), dropped, failed,
+                     status="hit" if starts else "miss",
+                     occurrences=len(starts))
+        return self._result(starts, degraded, failed)
 
-    def count(self, pattern):
+    def count(self, pattern, limit=None, cancel=None):
         """Number of occurrences (``find_all`` semantics exactly)."""
-        return len(self.find_all(pattern))
-
-    def find_first(self, pattern):
-        """Global start of the first occurrence, or ``None``.
-
-        Shards are scanned in order; the first shard whose earliest
-        local hit lands in its owned span yields the answer (a hit in
-        the overlap region belongs to — and recurs in — a later shard).
-        """
-        if pattern == "":
-            return 0
-        self._check_pattern(pattern)
-        if self.alphabet.try_encode(pattern) is None:
-            return None
-        m = len(pattern)
-        for shard in self._shards:
-            bound = self._local_limit(shard, self._len)
-            if bound < m:
-                continue
-            local = shard.index.find_first(pattern)
-            if local is not None and local < shard.owned_len:
-                return local + shard.start
-        return None
+        return len(self.find_all(pattern, limit, cancel))
 
     def batch_find_all(self, patterns, threads=1, limit=None,
                        executor=None, cancel=None, degraded=None):
@@ -683,97 +706,49 @@ class ShardedSpineIndex:
                 raise SearchError(
                     "find_all of the empty pattern is ill-defined")
             self._check_pattern(pattern)
-        bound_limit = self._len if limit is None else min(limit,
-                                                          self._len)
-        registry = get_registry()
-        metrics = registry if registry.enabled else None
-        tracer = get_tracer()
-        span = (tracer.begin("shard.batch_find_all",
-                             patterns=len(patterns),
-                             shards=len(self._shards))
-                if tracer.enabled else None)
-        if metrics is not None:
-            started = time.perf_counter()
-
-        shards = list(self._shards)
-        bounds = [self._local_limit(s, bound_limit) for s in shards]
-        live = [i for i, b in enumerate(bounds) if b > 0]
-        if span is not None:
-            for i in live:
-                span.event("shard-route", shard=i,
-                           start=shards[i].start, local_limit=bounds[i])
-
+        span, started = self._begin("shard.batch_find_all",
+                                    patterns=len(patterns))
         failed = {}
 
-        def _one(i):
-            return self._guard(
-                i,
-                lambda: _batch.batch_find_all(
-                    shards[i].index, patterns, threads=1,
-                    limit=bounds[i],
-                    cancel=cancel.child() if cancel is not None
-                    else None),
-                degraded, failed)
+        def batch(index, patterns, bound, cancel):
+            return _batch.batch_find_all(
+                index, patterns, threads=1, limit=bound,
+                cancel=cancel.child() if cancel is not None else None)
 
         try:
-            if len(live) > 1 and executor is not None:
-                per_shard = dict(zip(live, executor.map(_one, live)))
-            elif len(live) > 1 and threads > 1:
+            routes = self._routes(min(map(len, patterns), default=1),
+                                  limit, span)
+            if len(routes) > 1 and executor is None and threads > 1:
                 with ThreadPoolExecutor(max_workers=threads) as pool:
-                    per_shard = dict(zip(live, pool.map(_one, live)))
+                    answers = list(self._answers(
+                        routes, batch, patterns, cancel, degraded,
+                        failed, span, pool.map))
             else:
-                per_shard = {i: _one(i) for i in live}
+                answers = list(self._answers(
+                    routes, batch, patterns, cancel, degraded, failed,
+                    span, executor.map if len(routes) > 1
+                    and executor is not None else map))
         except BaseException as exc:
-            if span is not None:
-                tracer.finish(span, status="error",
-                              error=type(exc).__name__)
+            self._fail(span, exc)
             raise
 
-        failed_ids = sorted(failed)
-        complete = not failed
-
-        def _starts(merged):
-            if degraded:
-                return PartialResult(merged, complete=complete,
-                                     failed_shards=failed_ids,
-                                     errors=failed)
-            return merged
-
         results = []
-        dropped = 0
+        kept = dropped = 0
         for j, pattern in enumerate(patterns):
             if self.alphabet.try_encode(pattern) is None:
-                results.append(BatchMatch(pattern, _starts([]),
-                                          "alphabet-miss"))
+                results.append(BatchMatch(
+                    pattern, self._result([], degraded, failed),
+                    "alphabet-miss"))
                 continue
-            merged = []
-            for i in live:
-                if i in failed:
-                    continue
-                shard = shards[i]
-                local = per_shard[i][j].starts
-                kept = [s + shard.start for s in local
-                        if s < shard.owned_len]
-                dropped += len(local) - len(kept)
-                merged.extend(kept)
-            results.append(BatchMatch(pattern, _starts(merged),
-                                      "hit" if merged else "miss"))
-        if span is not None:
-            span.event("shard-merge", routed=len(live),
-                       dropped=dropped, failed=len(failed))
-        if metrics is not None:
-            metrics.counter("shard.batches").inc()
-            metrics.counter("shard.route.fanout").inc(len(live))
-            metrics.counter("shard.merge.dropped").inc(dropped)
-            if failed:
-                metrics.counter("resilience.degraded.queries").inc()
-                metrics.counter("resilience.degraded.failed_shards") \
-                    .inc(len(failed))
-            metrics.observe_latency("shard.query",
-                                    time.perf_counter() - started)
-        if span is not None:
-            tracer.finish(span, status="done",
-                          failed_shards=failed_ids)
+            starts, lost = self._merge(
+                (shard, local[j].starts) for shard, local in answers)
+            kept += len(starts)
+            dropped += lost
+            results.append(BatchMatch(
+                pattern, self._result(starts, degraded, failed),
+                "hit" if starts else "miss"))
+        self._finish(span, started, "shard.batches", len(routes), kept,
+                     dropped, failed, status="done")
         return results
 
     # -- growth --------------------------------------------------------
@@ -904,9 +879,7 @@ class ShardedSpineIndex:
             index = SpineIndex(alphabet=self.alphabet)
         shard = _Shard(index, new_start, 0)
         if self._concurrent:
-            enable = getattr(index, "enable_concurrent_reads", None)
-            if enable is not None:
-                enable()
+            index.enable_concurrent_reads()
         if self._breakers is not None:
             self._breakers.append(
                 CircuitBreaker(f"shard-{new_id}",

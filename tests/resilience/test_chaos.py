@@ -180,8 +180,8 @@ class TestDegradedShardServing:
         expected = sharded.find_all("ACGT")
         flaky = _FlakyShard(monkeypatch, sharded, shard_id=1)
         flaky.failing = True
-        result = sharded.find_all_at("ACGT", len(sharded),
-                                     degraded=True)
+        result = sharded.find_all("ACGT", limit=len(sharded),
+                                  degraded=True)
         assert isinstance(result, PartialResult)
         assert result.complete is False
         assert result.failed_shards == (1,)
@@ -191,8 +191,8 @@ class TestDegradedShardServing:
         healthy = [s for s in expected if s in result]
         assert healthy == list(result)
         flaky.failing = False
-        recovered = sharded.find_all_at("ACGT", len(sharded),
-                                        degraded=True)
+        recovered = sharded.find_all("ACGT", limit=len(sharded),
+                                     degraded=True)
         assert recovered.complete is True
         assert list(recovered) == expected
         sharded.close()
@@ -206,21 +206,21 @@ class TestDegradedShardServing:
         flaky.failing = True
         # Two degraded queries record two failures: the breaker opens.
         for _ in range(2):
-            result = sharded.find_all_at("ACGT", len(sharded),
-                                         degraded=True)
+            result = sharded.find_all("ACGT", limit=len(sharded),
+                                      degraded=True)
             assert result.failed_shards == (1,)
         assert sharded.breaker(1).state == "open"
         # While open, degraded queries skip the shard instantly and
         # the rejection is visible in the error metadata.
-        result = sharded.find_all_at("ACGT", len(sharded),
-                                     degraded=True)
+        result = sharded.find_all("ACGT", limit=len(sharded),
+                                  degraded=True)
         assert isinstance(result.errors[1], CircuitOpenError)
         # The fault clears; after the reset timeout the next query is
         # admitted as a half-open probe and re-closes the breaker.
         flaky.failing = False
         time.sleep(0.25)
-        recovered = sharded.find_all_at("ACGT", len(sharded),
-                                        degraded=True)
+        recovered = sharded.find_all("ACGT", limit=len(sharded),
+                                     degraded=True)
         assert recovered.complete is True
         assert list(recovered) == expected
         assert sharded.breaker(1).state == "closed"

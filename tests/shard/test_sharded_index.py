@@ -7,8 +7,9 @@ import pytest
 
 from repro import (QueryService, ShardedSpineIndex, SnapshotGuard,
                    SpineIndex)
-from repro.exceptions import (AlphabetError, ConstructionError,
-                              SearchError, StorageError)
+from repro.exceptions import (AlphabetError, CircuitOpenError,
+                              ConstructionError, SearchError,
+                              StorageError)
 
 from tests.conftest import PAPER_STRING, brute_occurrences
 
@@ -121,9 +122,9 @@ class TestSnapshotLimits:
         for limit in range(len(text) + 1):
             prefix = text[:limit]
             for pattern in ("ac", "ca", "aacc", "a"):
-                assert sh.find_all_at(pattern, limit) == \
+                assert sh.find_all(pattern, limit=limit) == \
                     brute_occurrences(prefix, pattern), (limit, pattern)
-                assert sh.contains_at(pattern, limit) == \
+                assert sh.contains(pattern, limit=limit) == \
                     (pattern in prefix)
 
     def test_snapshot_guard_delegates(self):
@@ -246,3 +247,16 @@ class TestPersistence:
     def test_load_rejects_garbage_dir(self, tmp_path):
         with pytest.raises(StorageError):
             ShardedSpineIndex.load(str(tmp_path))
+
+
+class TestQuarantineRouting:
+    """Every verb goes through the same fan-out: a quarantined shard
+    fails all of them fast, not only ``find_all``."""
+
+    def test_find_first_respects_quarantine(self):
+        text = "ACGTACGTTACGGTACAACGTTGCA" * 4
+        sh = ShardedSpineIndex.build(text, shards=4, max_pattern_len=8)
+        sh.quarantine(0)
+        for verb in (sh.contains, sh.find_first, sh.find_all, sh.count):
+            with pytest.raises(CircuitOpenError):
+                verb("ACGT")

@@ -9,7 +9,6 @@ import repro.core.cursor
 import repro.core.generalized
 import repro.core.index
 import repro.core.search
-import repro.store.document
 
 
 @pytest.mark.parametrize("module", [
@@ -18,7 +17,6 @@ import repro.store.document
     repro.core.generalized,
     repro.core.cursor,
     repro.alphabet,
-    repro.store.document,
 ])
 def test_module_doctests(module):
     results = doctest.testmod(module, verbose=False)
