@@ -34,8 +34,7 @@ from repro.check.generators import Scenario, generate_scenario
 from repro.check.harness import build_layers, expected_for_layer
 from repro.check.oracles import MATCHING_OPS, OPS, Oracle
 from repro.exceptions import ReproError
-from repro.obs import get_registry
-from repro.obs.trace import get_tracer
+from repro.obs import query_scope
 
 #: Repro files claiming a different format are refused on replay.
 REPRO_FORMAT = 1
@@ -71,33 +70,28 @@ class Divergence:
 
 def run_case(scenario, workdir=None):
     """Execute one scenario; returns the list of divergences."""
-    registry = get_registry()
-    metrics = registry if registry.enabled else None
-    tracer = get_tracer()
-    span = (tracer.begin("check.case", layers=len(scenario.layers),
-                         text_chars=len(scenario.text),
-                         patterns=len(scenario.patterns))
-            if tracer.enabled else None)
-    started = time.perf_counter() if metrics is not None else None
-    owns_workdir = workdir is None
-    if owns_workdir:
-        workdir = tempfile.mkdtemp(prefix="repro-fuzz-")
-    try:
-        divergences = _run_case(scenario, workdir, metrics)
-    finally:
+    with query_scope("check.case", timer="check.case.seconds",
+                     layers=len(scenario.layers),
+                     text_chars=len(scenario.text),
+                     patterns=len(scenario.patterns)) as scope:
+        owns_workdir = workdir is None
         if owns_workdir:
-            shutil.rmtree(workdir, ignore_errors=True)
-    if metrics is not None:
-        metrics.counter("check.cases").inc()
-        metrics.counter("check.divergences").inc(len(divergences))
-        metrics.timer("check.case.seconds").observe(
-            time.perf_counter() - started)
-    if span is not None:
-        tracer.finish(span, divergences=len(divergences))
+            workdir = tempfile.mkdtemp(prefix="repro-fuzz-")
+        try:
+            divergences = _run_case(scenario, workdir, scope)
+        finally:
+            if owns_workdir:
+                shutil.rmtree(workdir, ignore_errors=True)
+        if scope.metrics is not None:
+            scope.metrics.counter("check.cases").inc()
+            scope.metrics.counter("check.divergences").inc(
+                len(divergences))
+        scope.close(divergences=len(divergences))
     return divergences
 
 
-def _run_case(scenario, workdir, metrics):
+def _run_case(scenario, workdir, scope):
+    metrics = scope.metrics
     divergences = []
     oracle = Oracle(scenario.text,
                     symbols=scenario.alphabet,

@@ -37,17 +37,11 @@ concurrently.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.core import search
-from repro.exceptions import (
-    DeadlineExceededError,
-    SearchError,
-    ServiceClosedError,
-)
-from repro.obs import get_registry
-from repro.obs.trace import get_tracer
+from repro.exceptions import SearchError, ServiceClosedError
+from repro.obs import query_scope
 
 __all__ = [
     "BatchMatch",
@@ -159,52 +153,26 @@ def batch_find_all(index, patterns, threads=1, limit=None,
     if cancel is not None:
         cancel.poll()
     patterns = list(patterns)
-    registry = get_registry()
-    metrics = registry if registry.enabled else None
-    tracer = get_tracer()
-    span = (tracer.begin("batch.find_all", patterns=len(patterns))
-            if tracer.enabled else None)
-    if metrics is not None:
-        started = time.perf_counter()
+    with query_scope("batch.find_all", latency="batch",
+                     patterns=len(patterns)) as scope:
+        n = len(index)
+        if limit is not None:
+            n = min(limit, n)
+        order, uid_codes = _encode(index, patterns)
+        multithreaded = ((executor is not None or threads > 1)
+                         and len(uid_codes) > 1)
+        if multithreaded:
+            # Must happen before we hold the read lock: the transition
+            # briefly takes the pool's write lock.
+            index.enable_concurrent_reads()
 
-    n = len(index)
-    if limit is not None:
-        n = min(limit, n)
+        def _traverse(codes):
+            # One child token per traversal: the amortization counter
+            # is not thread-safe, so workers must not share one.
+            return search.find_first_end(
+                index, codes, n,
+                None if cancel is None else cancel.child())[0]
 
-    # Encode up front; deduplicate by code sequence (case-insensitive
-    # alphabets fold here for free).
-    try_encode = index.alphabet.try_encode
-    unique = {}      # codes tuple -> uid
-    uid_codes = []   # uid -> codes list
-    order = []       # per input pattern: uid, or None on alphabet miss
-    for pattern in patterns:
-        if pattern == "":
-            raise SearchError(
-                "find_all of the empty pattern is ill-defined")
-        codes = try_encode(pattern)
-        if codes is None:
-            order.append(None)
-            continue
-        key = tuple(codes)
-        uid = unique.get(key)
-        if uid is None:
-            uid = unique[key] = len(uid_codes)
-            uid_codes.append(codes)
-        order.append(uid)
-
-    multithreaded = ((executor is not None or threads > 1)
-                     and len(uid_codes) > 1)
-    if multithreaded:
-        # Must happen before we hold the read lock: the transition
-        # briefly takes the pool's write lock.
-        index.enable_concurrent_reads()
-    def _traverse(codes):
-        # One child token per traversal: the amortization counter is
-        # not thread-safe, so workers must not share one.
-        return search.find_first_end(
-            index, codes, n, None if cancel is None else cancel.child())
-
-    try:
         with index.read_locked():
             # Phase 1: first-occurrence traversals.
             if multithreaded:
@@ -223,43 +191,62 @@ def batch_find_all(index, patterns, threads=1, limit=None,
                 if end is not None:
                     pids[uid] = scanner.add(end, len(codes))
             starts_by_pid = scanner.resolve_starts(limit=n, cancel=cancel)
-    except BaseException as exc:
-        if span is not None:
-            cancelled = isinstance(exc, (DeadlineExceededError,
-                                         ServiceClosedError))
-            tracer.finish(span, status="cancelled" if cancelled
-                          else "error", error=type(exc).__name__)
-        raise
 
-    results = []
-    hits = misses = 0
-    occurrences = 0
-    for pattern, uid in zip(patterns, order):
-        if uid is None:
-            results.append(BatchMatch(pattern, [], "alphabet-miss"))
-            misses += 1
-        elif uid not in pids:
-            results.append(BatchMatch(pattern, [], "miss"))
-            misses += 1
-        else:
-            starts = list(starts_by_pid[pids[uid]])
-            occurrences += len(starts)
-            results.append(BatchMatch(pattern, starts, "hit"))
-            hits += 1
+        results = []
+        hits = misses = 0
+        occurrences = 0
+        for pattern, uid in zip(patterns, order):
+            if uid is None:
+                results.append(BatchMatch(pattern, [], "alphabet-miss"))
+                misses += 1
+            elif uid not in pids:
+                results.append(BatchMatch(pattern, [], "miss"))
+                misses += 1
+            else:
+                starts = list(starts_by_pid[pids[uid]])
+                occurrences += len(starts)
+                results.append(BatchMatch(pattern, starts, "hit"))
+                hits += 1
 
-    if metrics is not None:
-        metrics.counter("batch.batches").inc()
-        metrics.counter("batch.patterns").inc(len(patterns))
-        metrics.counter("batch.unique_patterns").inc(len(uid_codes))
-        metrics.counter("batch.hits").inc(hits)
-        metrics.counter("batch.misses").inc(misses)
-        metrics.counter("batch.occurrences").inc(occurrences)
-        metrics.counter("batch.scan_nodes").inc(scanner.last_scan_nodes)
-        metrics.histogram("batch.size").observe(len(patterns))
-        metrics.observe_latency("batch", time.perf_counter() - started)
-    if span is not None:
-        tracer.finish(span, status="done", hits=hits, misses=misses,
-                      occurrences=occurrences,
-                      scan_nodes=scanner.last_scan_nodes,
-                      unique_patterns=len(uid_codes), snapshot=n)
+        metrics = scope.metrics
+        if metrics is not None:
+            metrics.counter("batch.batches").inc()
+            metrics.counter("batch.patterns").inc(len(patterns))
+            metrics.counter("batch.unique_patterns").inc(len(uid_codes))
+            metrics.counter("batch.hits").inc(hits)
+            metrics.counter("batch.misses").inc(misses)
+            metrics.counter("batch.occurrences").inc(occurrences)
+            metrics.counter("batch.scan_nodes").inc(
+                scanner.last_scan_nodes)
+            metrics.histogram("batch.size").observe(len(patterns))
+        scope.close("done", hits=hits, misses=misses,
+                    occurrences=occurrences,
+                    scan_nodes=scanner.last_scan_nodes,
+                    unique_patterns=len(uid_codes), snapshot=n)
     return results
+
+
+def _encode(index, patterns):
+    """Encode ``patterns`` once each, deduplicated by code sequence
+    (case-insensitive alphabets fold here for free): ``(order,
+    uid_codes)``, where ``order`` holds each pattern's unique id, or
+    ``None`` on an alphabet miss, and ``uid_codes`` each id's codes."""
+    try_encode = index.alphabet.try_encode
+    unique = {}      # codes tuple -> uid
+    uid_codes = []   # uid -> codes list
+    order = []
+    for pattern in patterns:
+        if pattern == "":
+            raise SearchError(
+                "find_all of the empty pattern is ill-defined")
+        codes = try_encode(pattern)
+        if codes is None:
+            order.append(None)
+            continue
+        key = tuple(codes)
+        uid = unique.get(key)
+        if uid is None:
+            uid = unique[key] = len(uid_codes)
+            uid_codes.append(codes)
+        order.append(uid)
+    return order, uid_codes

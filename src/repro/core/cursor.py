@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from repro.core import matching, search
 from repro.exceptions import SearchError
-from repro.obs.trace import get_tracer
 
 
 class SearchCursor:
@@ -44,9 +43,6 @@ class SearchCursor:
         self._node = 0
         self._length = 0
         self._alive = True
-        # Incremental feeds attach to whatever query span is active
-        # (wrap a feeding session in ``tracer.query(...)`` to trace it).
-        self._tracer = get_tracer()
 
     def feed(self, ch):
         """Consume one character; returns liveness."""
@@ -56,8 +52,11 @@ class SearchCursor:
             return False
         code = self.index.alphabet.encode_char(ch)
         with self.index.read_locked():
+            # Each feed records into the thread's active span, if any
+            # (wrap a feeding session in ``repro.obs.query_scope(...)``
+            # to trace it).
             nxt = search.step(self.index, self._node, self._length,
-                              code, self._tracer.active)
+                              code)
         if nxt is None:
             self._alive = False
             return False
@@ -142,8 +141,6 @@ class StreamMatcher:
         self._length = 0
         self._consumed = 0
         self._finished = False
-        # Like SearchCursor, stream feeds record into the active span.
-        self._tracer = get_tracer()
 
     def feed(self, ch):
         """Consume one character; returns a StreamEvent or ``None``."""
@@ -155,10 +152,11 @@ class StreamMatcher:
         prev_node, prev_length = self._node, self._length
         result = self._result
         with self.index.read_locked():
-            # The stream keeps no per-position statistics.
+            # The stream keeps no per-position statistics; like
+            # SearchCursor, feeds record into the active span.
             self._node, self._length, checks, link_hops = search.walk(
                 self.index, (code,), prev_node, prev_length,
-                span=self._tracer.active, record=([], []))
+                record=([], []))
         result.checks += checks
         result.link_hops += link_hops
         event = None

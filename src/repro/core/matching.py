@@ -21,13 +21,11 @@ only takes the link when nothing at the node covers a longer suffix.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from repro.core import search
 from repro.exceptions import SearchError
-from repro.obs import get_registry
-from repro.obs.trace import get_tracer
+from repro.obs import query_scope
 
 
 @dataclass
@@ -86,34 +84,27 @@ def matching_statistics(index, query):
     """
     codes = index.alphabet.encode(query)
     prefix = index.NAME_PREFIX
-    registry = get_registry()
-    observing = registry.enabled
-    tracer = get_tracer()
-    span = (tracer.begin(prefix + "matching.statistics",
-                         query_chars=len(query))
-            if tracer.enabled else None)
-    if observing:
-        started = time.perf_counter()
+    name = prefix + "matching.statistics"
     result = MatchingResult()
     lengths = result.lengths
-    with index.read_locked():
-        _, _, result.checks, result.link_hops = search.walk(
-            index, codes, span=span, record=(lengths, result.end_nodes))
-    if span is not None:
-        tracer.finish(span, status="done", checks=result.checks,
-                      link_hops=result.link_hops)
-    if observing:
-        # One bulk publish per streamed query — the walk counts in
-        # locals.
-        registry.counter(prefix + "matching.queries").inc()
-        registry.counter(prefix + "matching.chars").inc(len(codes))
-        registry.counter(prefix + "matching.checks").inc(result.checks)
-        registry.counter(prefix + "matching.link_hops").inc(
-            result.link_hops)
-        registry.histogram(prefix + "matching.match_length").observe_many(
-            lengths)
-        registry.timer(prefix + "matching.statistics.seconds").observe(
-            time.perf_counter() - started)
+    with query_scope(name, timer=name + ".seconds",
+                     query_chars=len(query)) as scope:
+        with index.read_locked():
+            _, _, result.checks, result.link_hops = search.walk(
+                index, codes, record=(lengths, result.end_nodes))
+        metrics = scope.metrics
+        if metrics is not None:
+            # One bulk publish per streamed query — the walk counts in
+            # locals.
+            metrics.counter(prefix + "matching.queries").inc()
+            metrics.counter(prefix + "matching.chars").inc(len(codes))
+            metrics.counter(prefix + "matching.checks").inc(result.checks)
+            metrics.counter(prefix + "matching.link_hops").inc(
+                result.link_hops)
+            metrics.histogram(prefix + "matching.match_length") \
+                .observe_many(lengths)
+        scope.close("done", checks=result.checks,
+                    link_hops=result.link_hops)
     return result
 
 

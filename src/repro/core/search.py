@@ -28,13 +28,10 @@ that length (Section 2.7) — and an optional
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.exceptions import SearchError
-from repro.obs import get_registry
-from repro.obs.trace import get_tracer
+from repro.obs import active_span, query_scope
 
 #: Backbone positions per link-scan window (the disk layer rounds it
 #: down to whole LT pages): :func:`link_scan` decides this many per
@@ -51,7 +48,7 @@ POLL_HITS = 1024
 
 
 def walk(index, codes, node=0, length=0, limit=None, cancel=None,
-         span=None, record=None):
+         record=None):
     """The engine's one walk (Section 4): consume ``codes`` from
     ``node``, where a valid path of ``length`` characters ends.
 
@@ -59,9 +56,9 @@ def walk(index, codes, node=0, length=0, limit=None, cancel=None,
     vertebra does not carry the next code the edge rule applies: a rib
     with ``pathlength <= PT``, else the first element of its extrib
     chain with ``PT >= pathlength``. ``cancel`` is checkpointed once per
-    run or edge; ``span`` is an active trace span collecting every edge
-    decision (:mod:`repro.obs.trace`). The caller holds the layer's read
-    lock.
+    run or edge. When tracing is on, the calling thread's active span
+    collects every edge decision (:mod:`repro.obs.trace`). The caller
+    holds the layer's read lock.
 
     Traversal (``record`` is ``None``): a missing edge, or a step
     landing beyond ``limit`` (default: the whole index), is a dead end —
@@ -82,6 +79,7 @@ def walk(index, codes, node=0, length=0, limit=None, cancel=None,
     tried, Table 6's count; on a traversal exactly the codes consumed,
     the failed one included — and the link hops taken.
     """
+    span = active_span()
     n = len(index)
     if limit is None or limit > n:
         limit = n
@@ -194,7 +192,7 @@ def walk(index, codes, node=0, length=0, limit=None, cancel=None,
     return node, length, checks, link_hops
 
 
-def step(index, node, pathlength, code, span=None):
+def step(index, node, pathlength, code):
     """One forward move of a valid path: from ``node`` after having
     matched ``pathlength`` characters, consume ``code`` — a one-code
     :func:`walk`. Returns the destination node, or ``None`` when no
@@ -212,27 +210,22 @@ def step(index, node, pathlength, code, span=None):
     >>> step(idx, 3, 2, a)
     7
     """
-    return walk(index, (code,), node, pathlength, span=span)[0]
+    return walk(index, (code,), node, pathlength)[0]
 
 
-def find_first_end(index, codes, limit=None, cancel=None, span=None,
-                   metrics=None):
-    """End node of the first occurrence of ``codes`` within the prefix
-    of length ``limit`` (default: the whole index), or ``None``.
+def find_first_end(index, codes, limit=None, cancel=None):
+    """``(end node, steps)`` of the first occurrence of ``codes``
+    within the prefix of length ``limit`` (default: the whole index);
+    the end node is ``None`` when it does not occur there.
 
     ``codes`` is a sequence of alphabet codes; the empty sequence ends
     at the root (node 0). One traversal :func:`walk` from the root;
     ``cancel`` is checkpointed once per run or edge (an amortized
-    integer decrement — see :mod:`repro.resilience.deadline`), ``span``
-    collects every edge decision, and ``metrics`` is an enabled
-    registry that receives one bulk ``search.steps`` update (characters
-    consumed) per call, never one per character.
+    integer decrement — see :mod:`repro.resilience.deadline`). ``steps``
+    counts the codes consumed, the failed one included.
     """
-    node, _, steps, _ = walk(index, codes, limit=limit, cancel=cancel,
-                             span=span)
-    if metrics is not None:
-        metrics.counter(index.NAME_PREFIX + "search.steps").inc(steps)
-    return node
+    node, _, steps, _ = walk(index, codes, limit=limit, cancel=cancel)
+    return node, steps
 
 
 def _lookup(verb, index, pattern, limit, cancel, scan):
@@ -244,24 +237,22 @@ def _lookup(verb, index, pattern, limit, cancel, scan):
     codes and the ascending end nodes (empty on a miss; a pattern with
     a character outside the alphabet cannot occur and is a clean
     miss). Metrics and the trace span are emitted here, once, for
-    every layer.
+    every layer, under the span and latency name ``verb`` (e.g.
+    ``search.find_all``) behind the layer's prefix.
     """
     prefix = index.NAME_PREFIX
-    registry = get_registry()
-    metrics = registry if registry.enabled else None
-    tracer = get_tracer()
-    span = (tracer.begin(prefix + "search." + verb, pattern=pattern)
-            if tracer.enabled else None)
-    if metrics is not None:
-        started = time.perf_counter()
-    codes = index.alphabet.try_encode(pattern)
+    name = prefix + verb
     ends = []
     scan_nodes = None
-    if codes is not None:
-        try:
+    with query_scope(name, latency=name, pattern=pattern) as scope:
+        metrics = scope.metrics
+        codes = index.alphabet.try_encode(pattern)
+        if codes is not None:
             with index.read_locked():
-                first_end = find_first_end(index, codes, limit, cancel,
-                                           span, metrics)
+                first_end, steps = find_first_end(index, codes, limit,
+                                                  cancel)
+                if metrics is not None:
+                    metrics.counter(prefix + "search.steps").inc(steps)
                 if first_end is not None and not scan:
                     ends = [first_end]
                 elif first_end is not None:
@@ -269,34 +260,29 @@ def _lookup(verb, index, pattern, limit, cancel, scan):
                     pid = scanner.add(first_end, len(codes))
                     ends = scanner.resolve(limit, cancel)[pid]
                     scan_nodes = scanner.last_scan_nodes
-        except BaseException as exc:
-            if span is not None:
-                tracer.finish(span, status="error",
-                              error=type(exc).__name__)
-            raise
-    if metrics is not None:
-        metrics.counter(prefix + "search.queries").inc()
-        if not ends:
-            metrics.counter(prefix + "search.misses").inc()
-        elif scan_nodes is not None:
-            metrics.counter(prefix + "search.occurrences").inc(len(ends))
-            # The downstream scan walks the backbone from the first
-            # match's end to the tail (Section 4's link-scan).
-            metrics.counter(prefix + "search.scan_nodes").inc(scan_nodes)
-            metrics.histogram(prefix + "search.scan_length").observe(
-                scan_nodes)
-        metrics.observe_latency(prefix + "search." + verb,
-                                time.perf_counter() - started)
-    if span is not None:
-        attrs = {}
-        if codes is None:
-            attrs["alphabet_miss"] = True
-        if ends:
-            attrs["end_node"] = ends[0]
-        if scan_nodes is not None:
-            attrs["occurrences"] = len(ends)
-            attrs["scan_nodes"] = scan_nodes
-        tracer.finish(span, status="hit" if ends else "miss", **attrs)
+        if metrics is not None:
+            metrics.counter(prefix + "search.queries").inc()
+            if not ends:
+                metrics.counter(prefix + "search.misses").inc()
+            elif scan_nodes is not None:
+                metrics.counter(prefix + "search.occurrences").inc(
+                    len(ends))
+                # The downstream scan walks the backbone from the first
+                # match's end to the tail (Section 4's link-scan).
+                metrics.counter(prefix + "search.scan_nodes").inc(
+                    scan_nodes)
+                metrics.histogram(prefix + "search.scan_length").observe(
+                    scan_nodes)
+        if scope.span is not None:
+            attrs = {}
+            if codes is None:
+                attrs["alphabet_miss"] = True
+            if ends:
+                attrs["end_node"] = ends[0]
+            if scan_nodes is not None:
+                attrs["occurrences"] = len(ends)
+                attrs["scan_nodes"] = scan_nodes
+            scope.close("hit" if ends else "miss", **attrs)
     return (0 if codes is None else len(codes)), ends
 
 
@@ -305,7 +291,7 @@ def contains(index, pattern, limit=None, cancel=None):
     its length-``limit`` prefix). The empty pattern always is."""
     if pattern == "":
         return True
-    return bool(_lookup("contains", index, pattern, limit, cancel,
+    return bool(_lookup("search.contains", index, pattern, limit, cancel,
                         False)[1])
 
 
@@ -315,7 +301,8 @@ def find_first(index, pattern, limit=None, cancel=None):
     Returns ``None`` when the pattern does not occur. The empty pattern
     trivially occurs at position 0.
     """
-    m, ends = _lookup("find_first", index, pattern, limit, cancel, False)
+    m, ends = _lookup("search.find_first", index, pattern, limit, cancel,
+                      False)
     return ends[0] - m if ends else None
 
 
@@ -330,7 +317,8 @@ def find_all(index, pattern, limit=None, cancel=None):
     """
     if pattern == "":
         raise SearchError("find_all of the empty pattern is ill-defined")
-    m, ends = _lookup("find_all", index, pattern, limit, cancel, True)
+    m, ends = _lookup("search.find_all", index, pattern, limit, cancel,
+                      True)
     return [end - m for end in ends]
 
 

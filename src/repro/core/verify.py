@@ -341,7 +341,7 @@ def _verify_paths_deep(index, layer):
     substrings = {text[i:j] for i in range(n) for j in range(i + 1, n + 1)}
     alphabet = index.alphabet
     for sub in substrings:
-        if find_first_end(index, alphabet.encode(sub)) is None:
+        if find_first_end(index, alphabet.encode(sub))[0] is None:
             _fail(f"false negative: substring {sub!r} has no valid "
                   "path", layer=layer, invariant="deep-false-negative")
     # False-positive frontier: every substring (and the empty string)
@@ -357,7 +357,8 @@ def _verify_paths_deep(index, layer):
                 continue
             if word in text:
                 continue
-            if find_first_end(index, alphabet.encode(word)) is not None:
+            if find_first_end(index, alphabet.encode(word))[0] \
+                    is not None:
                 _fail(f"false positive: {word!r} has a valid path but "
                       "is not a substring", layer=layer,
                       invariant="deep-false-positive")

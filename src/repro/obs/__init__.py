@@ -44,11 +44,18 @@ structured slow-query records, and :mod:`repro.obs.health` serves
 (started via ``QueryService(stats_port=...)`` or ``repro serve
 --stats-port``). Same discipline throughout: everything is off by
 default and costs one attribute check while off.
+
+Every query verb opens its span, starts its clock and closes both
+through one helper, :func:`query_scope`.
 """
 
 from __future__ import annotations
 
+import time
 from contextlib import contextmanager
+
+from repro.exceptions import DeadlineExceededError, ServiceClosedError
+from repro.obs import trace as _trace
 
 from repro.obs.export import (
     MetricsFlusher,
@@ -76,8 +83,8 @@ from repro.obs.slowlog import (
     slow_log_enabled,
 )
 from repro.obs.trace import (
-    NULL_SPAN,
     Span,
+    active_span,
     Tracer,
     get_tracer,
     set_tracer,
@@ -94,12 +101,14 @@ __all__ = [
     "MetricsFlusher",
     "MetricsRegistry",
     "NULL_INSTRUMENT",
-    "NULL_SPAN",
+    "NULL_SCOPE",
     "P2Quantile",
+    "QueryScope",
     "SlowQueryLog",
     "Span",
     "StreamingQuantiles",
     "Tracer",
+    "active_span",
     "build_report",
     "disable_metrics",
     "enable_metrics",
@@ -107,6 +116,7 @@ __all__ = [
     "get_slow_log",
     "get_tracer",
     "metrics_enabled",
+    "query_scope",
     "record_io_snapshot",
     "render_prometheus",
     "set_registry",
@@ -163,3 +173,95 @@ def metrics_enabled(reset=True):
     finally:
         if not was_enabled:
             _registry.disable()
+
+
+class QueryScope:
+    """One query's instrumentation — its span (``None`` when tracing is
+    off or the query is unsampled), the enabled registry as ``metrics``
+    (or ``None``), its clock and its close. Made by :func:`query_scope`
+    and used as a ``with`` block."""
+
+    __slots__ = ("span", "metrics", "_tracer", "_latency", "_timer",
+                 "_started", "_open")
+
+    def __init__(self, metrics, tracer, span, latency, timer):
+        self.span = span
+        self.metrics = metrics
+        self._tracer = tracer
+        self._latency = latency
+        self._timer = timer
+        self._started = (time.perf_counter() if metrics is not None
+                         else None)
+        self._open = span is not None or metrics is not None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if not self._open:
+            return False
+        if exc_type is None:
+            self.close()
+            return False
+        self._open = False
+        if self.span is not None:
+            cancelled = isinstance(exc, (DeadlineExceededError,
+                                         ServiceClosedError))
+            self._tracer.finish(self.span,
+                                "cancelled" if cancelled else "error",
+                                error=exc_type.__name__)
+        return False
+
+    def close(self, status=None, **attrs):
+        """Close the query as answered: observe its latency once and
+        finish the span with ``status`` and ``attrs``. Leaving the
+        ``with`` block closes it too; a second close does nothing."""
+        if not self._open:
+            return
+        self._open = False
+        if self.metrics is not None:
+            seconds = time.perf_counter() - self._started
+            if self._latency is not None:
+                self.metrics.observe_latency(self._latency, seconds)
+            if self._timer is not None:
+                self.metrics.timer(self._timer).observe(seconds)
+        if self.span is not None:
+            self._tracer.finish(self.span, status, **attrs)
+
+
+#: The shared, never-open scope of every query nothing observes.
+NULL_SCOPE = QueryScope(None, None, None, None, None)
+
+
+def query_scope(op, latency=None, timer=None, **attrs):
+    """Open the instrumentation of one query: a span named ``op`` with
+    ``attrs`` when the global tracer samples it, and a clock when the
+    global registry is on.
+
+    On a normal close the elapsed time goes once to
+    :meth:`MetricsRegistry.observe_latency` under ``latency`` and/or to
+    the :class:`Timer` named ``timer``. When the block raises, the span
+    closes with ``status="cancelled"`` for a deadline or a service
+    shutdown, ``"error"`` otherwise, and ``error=<exception name>``;
+    no latency is observed. With both off this returns
+    :data:`NULL_SCOPE` and allocates nothing.
+
+    >>> with metrics_enabled() as registry, tracing_enabled() as tracer:
+    ...     with query_scope("demo", timer="demo.seconds", n=1) as scope:
+    ...         scope.span.event("step")
+    ...         scope.close("hit", found=True)
+    ...     timed = registry.timer("demo.seconds").count
+    >>> span = tracer.spans[-1]
+    >>> span.op, span.status, span.attrs, len(span.events), timed
+    ('demo', 'hit', {'n': 1, 'found': True}, 1, 1)
+    >>> query_scope("demo") is NULL_SCOPE
+    True
+    """
+    tracer = _trace._tracer
+    if not (tracer.enabled or _registry.enabled):
+        return NULL_SCOPE
+    span = tracer.begin(op, **attrs) if tracer.enabled else None
+    metrics = _registry if _registry.enabled else None
+    if span is None and metrics is None:
+        return NULL_SCOPE
+    return QueryScope(metrics, tracer, span, latency, timer)

@@ -226,7 +226,7 @@ def explain_pattern(index, pattern, with_occurrences=True):
         with index.read_locked():
             for i, code in enumerate(codes):
                 before = len(span.events)
-                nxt = step(index, node, i, code, span)
+                nxt = step(index, node, i, code)
                 slice_ = span.events[before:]
                 steps.append(ExplainStep(
                     position=i + 1,

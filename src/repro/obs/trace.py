@@ -38,8 +38,8 @@ Cost discipline mirrors the metrics registry: the global tracer starts
 disabled, instrumented call sites gate on ``tracer.enabled`` before
 doing anything, and an unsampled query costs one modulo on begin and
 nothing per step (``begin`` returns ``None`` and the traced code paths
-are skipped entirely). :data:`NULL_SPAN` is the shared no-op span for
-code that prefers unconditional ``span.event(...)`` calls.
+are skipped entirely). Query verbs open and close their spans through
+:func:`repro.obs.query_scope`.
 
 Sampling traces every ``sample_every``-th begun query (the first query
 is always sampled), so production-style serving can keep tracing on at
@@ -49,13 +49,15 @@ as JSON lines (:meth:`Tracer.export_jsonl`), one span per line.
 
 from __future__ import annotations
 
+import itertools
 import json
+import threading
 import time
 from collections import deque
 from contextlib import contextmanager
 
 __all__ = [
-    "NULL_SPAN",
+    "active_span",
     "Span",
     "TRACE_SCHEMA",
     "Tracer",
@@ -130,42 +132,15 @@ class Span:
                 f"events={len(self.events)}, status={self.status!r})")
 
 
-class _NullSpan:
-    """Shared no-op span: every mutator is a pass."""
+class _Active(threading.local):
+    """Each thread's active span (``None`` until one begins there)."""
 
-    __slots__ = ()
-
-    trace_id = -1
-    op = "<null>"
-    status = None
-    duration = None
-    attrs = {}
-    events = ()
-
-    def event(self, etype, **fields):
-        pass
-
-    def vertebra(self, node, count=1):
-        pass
-
-    def set(self, **attrs):
-        pass
-
-    def to_dict(self):
-        return {"schema": TRACE_SCHEMA, "trace_id": -1, "op": "<null>",
-                "status": None, "duration_seconds": None, "attrs": {},
-                "event_count": 0, "events": []}
-
-    def __repr__(self):
-        return "<null span>"
-
-
-#: The disabled/unsampled stand-in (never records anything).
-NULL_SPAN = _NullSpan()
+    span = None
 
 
 class Tracer:
-    """Owns the active span, the sampling decision and finished spans.
+    """Owns each thread's active span, the sampling decision and the
+    finished spans.
 
     Parameters
     ----------
@@ -191,14 +166,20 @@ class Tracer:
         self.enabled = enabled
         self.sample_every = sample_every
         self.coalesce_vertebras = coalesce_vertebras
-        #: The span the current query is recording into, or ``None``.
-        #: Deep layers (the buffer pool's page-fetch attribution) read
-        #: this instead of having a span threaded through every call.
-        self.active = None
         self.dropped = 0
         self._seq = 0
-        self._next_id = 1
+        self._next_id = itertools.count(1)
+        self._active = _Active()
         self._spans = deque(maxlen=max_spans)
+
+    @property
+    def active(self):
+        """The span the calling thread's query is recording into, or
+        ``None``. The engine walk, the shard fan-out and the storage
+        layers (page-fetch attribution) read this instead of having a
+        span threaded through every call; a span begun on one thread
+        is never another thread's."""
+        return self._active.span
 
     # -- lifecycle -----------------------------------------------------
 
@@ -219,10 +200,10 @@ class Tracer:
     def reset(self):
         """Drop retained spans and restart sampling/id sequences."""
         self._spans.clear()
-        self.active = None
+        self._active = _Active()
         self.dropped = 0
         self._seq = 0
-        self._next_id = 1
+        self._next_id = itertools.count(1)
 
     # -- span lifecycle ------------------------------------------------
 
@@ -230,9 +211,9 @@ class Tracer:
         """Start a query span, or return ``None`` when disabled or the
         query falls outside the sample.
 
-        The returned span becomes :attr:`active` (the previous active
-        span, if any, is restored by :meth:`finish` — nested spans are
-        legal and each records its own events).
+        The returned span becomes the calling thread's :attr:`active`
+        span (the previous one, if any, is restored by :meth:`finish` —
+        nested spans are legal and each records its own events).
         """
         if not self.enabled:
             return None
@@ -240,43 +221,31 @@ class Tracer:
         if self.sample_every > 1 \
                 and (self._seq - 1) % self.sample_every:
             return None
-        span = Span(self._next_id, op, attrs,
+        span = Span(next(self._next_id), op, attrs,
                     coalesce=self.coalesce_vertebras)
-        self._next_id += 1
-        span._parent = self.active
-        self.active = span
+        active = self._active
+        span._parent = active.span
+        active.span = span
         return span
 
     def finish(self, span, status=None, **attrs):
         """Close ``span``: stamp duration/status, restore the previous
         active span, retain the result. ``None`` spans (unsampled) are
         accepted and ignored so call sites need no extra branch."""
-        if span is None or span is NULL_SPAN:
+        if span is None:
             return None
         span.duration = time.perf_counter() - span.started
         if status is not None:
             span.status = status
         if attrs:
             span.attrs.update(attrs)
-        if self.active is span:
-            self.active = span._parent
+        active = self._active
+        if active.span is span:
+            active.span = span._parent
         if len(self._spans) == self._spans.maxlen:
             self.dropped += 1
         self._spans.append(span)
         return span
-
-    @contextmanager
-    def query(self, op, **attrs):
-        """``with tracer.query("search.find_all", pattern=p) as span:``
-        — yields the span or ``None``; finishes on exit (status
-        ``"error"`` when the block raised)."""
-        span = self.begin(op, **attrs)
-        try:
-            yield span
-        except BaseException:
-            self.finish(span, status="error")
-            raise
-        self.finish(span)
 
     # -- results -------------------------------------------------------
 
@@ -377,6 +346,13 @@ def set_tracer(tracer):
     previous = _tracer
     _tracer = tracer
     return previous
+
+
+def active_span():
+    """The calling thread's active span while the global tracer is on,
+    else ``None`` — what deep layers record their events into."""
+    tracer = _tracer
+    return tracer.active if tracer.enabled else None
 
 
 @contextmanager

@@ -155,9 +155,9 @@ class CancellationToken:
         registry = obs.get_registry()
         if registry.enabled:
             registry.counter("resilience.deadline.hits").inc()
-        tracer = obs.get_tracer()
-        if tracer.enabled and tracer.active is not None:
-            tracer.active.event("deadline-exceeded", op=self.op)
+        span = obs.active_span()
+        if span is not None:
+            span.event("deadline-exceeded", op=self.op)
 
     def __repr__(self):
         parts = [f"op={self.op!r}"]

@@ -261,25 +261,24 @@ class QueryService:
                     if self.admission is not None else None)
         admission_wait_s = time.perf_counter() - started
         self._enter()
-        slow_log = get_slow_log()
+        result = timed_out = None   # None: raised, not a deadline
         try:
             result = query(self.snapshot(), token)
+            timed_out = False
         except DeadlineExceededError:
-            if slow_log.enabled:
-                slow_log.observe(
-                    op, time.perf_counter() - started,
-                    admission_wait_s=admission_wait_s, timed_out=True,
-                    layer=type(self.index).__name__, **describe(None))
+            timed_out = True
             raise
         finally:
             self._exit()
             if admitted is not None:
                 admitted.__exit__()
-        if slow_log.enabled:
-            slow_log.observe(
-                op, time.perf_counter() - started,
-                admission_wait_s=admission_wait_s,
-                layer=type(self.index).__name__, **describe(result))
+            slow_log = get_slow_log()
+            if timed_out is not None and slow_log.enabled:
+                slow_log.observe(
+                    op, time.perf_counter() - started,
+                    admission_wait_s=admission_wait_s,
+                    **({"timed_out": True} if timed_out else {}),
+                    layer=type(self.index).__name__, **describe(result))
         return result
 
     def contains(self, pattern, deadline=None):

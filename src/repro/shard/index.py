@@ -50,7 +50,7 @@ from repro.core.batch import BatchMatch
 from repro.exceptions import (CircuitOpenError, ConstructionError,
                               DeadlineExceededError, SearchError,
                               ServiceClosedError, StorageError)
-from repro.obs import get_registry, get_tracer
+from repro.obs import active_span, get_registry, query_scope
 from repro.resilience import CircuitBreaker, PartialResult
 from repro.shard.parallel import ShardBuildSpec, build_shard_indexes
 from repro.storage.wal import WriteAheadLog, scan_wal, wal_path_for
@@ -308,16 +308,13 @@ class ShardedSpineIndex:
         if not 0 <= shard_id < len(self._shards):
             raise SearchError(f"no shard {shard_id}")
         self._quarantined.add(shard_id)
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("shard.quarantines").inc()
-            registry.gauge("shard.quarantined").set(
-                len(self._quarantined))
-        tracer = get_tracer()
-        if tracer.enabled:
-            span = tracer.begin("shard.quarantine", shard=shard_id,
-                                reason=reason)
-            tracer.finish(span, status="quarantined")
+        with query_scope("shard.quarantine", shard=shard_id,
+                         reason=reason) as scope:
+            if scope.metrics is not None:
+                scope.metrics.counter("shard.quarantines").inc()
+                scope.metrics.gauge("shard.quarantined").set(
+                    len(self._quarantined))
+            scope.close("quarantined")
 
     def repair_shard(self, shard_id):
         """Rebuild a quarantined disk shard online and re-admit it.
@@ -424,11 +421,8 @@ class ShardedSpineIndex:
                 len(self._quarantined))
             registry.timer("shard.repair.seconds").observe(
                 time.perf_counter() - started)
-        tracer = get_tracer()
-        if tracer.enabled:
-            span = tracer.begin("shard.repair", shard=shard_id,
-                                chars=len(new_index))
-            tracer.finish(span, status="repaired")
+        query_scope("shard.repair", shard=shard_id,
+                    chars=len(new_index)).close("repaired")
 
     def _guard(self, i, degraded, failed, fn, *args):
         """Run one shard's query ``fn(*args)`` under its breaker.
@@ -493,10 +487,12 @@ class ShardedSpineIndex:
     # Every verb runs one fan-out, :meth:`_routes` then :meth:`_answers`,
     # over the shards' own engine calls.
 
-    def _routes(self, m, limit, span=None):
+    def _routes(self, m, limit):
         """``[(shard_id, shard, local_limit)]`` of the shards whose part
         of the length-``limit`` prefix can hold a length-``m`` match,
-        in shard order (a ``shard-route`` event each)."""
+        in shard order (a ``shard-route`` event each in the active
+        span)."""
+        span = active_span()
         limit = self._len if limit is None else min(limit, self._len)
         routes = []
         for i, shard in enumerate(self._shards):
@@ -510,15 +506,17 @@ class ShardedSpineIndex:
         return routes
 
     def _answers(self, routes, verb, query, cancel, degraded=False,
-                 failed=None, span=None, mapper=map):
+                 failed=None, mapper=map):
         """Yield ``(shard, verb(shard.index, query, local_limit,
         cancel))`` per route, in shard order, each under the shard's
         breaker (:meth:`_guard`).
 
         ``mapper`` runs the asks: the lazy builtin ``map`` (so a caller
         can stop at the first hit) or an executor's. A shard that fails
-        in degraded mode lands in ``failed`` and is skipped.
+        in degraded mode lands in ``failed`` and is skipped (a
+        ``shard-degraded`` event in the active span).
         """
+        span = active_span()
         if failed is None:
             failed = {}
 
@@ -556,41 +554,26 @@ class ShardedSpineIndex:
         return PartialResult(starts, complete=not failed,
                              failed_shards=sorted(failed), errors=failed)
 
-    def _begin(self, name, **attrs):
-        """Open the span of one scatter-gather call: ``(span, t0)``."""
-        tracer = get_tracer()
-        span = (tracer.begin(name, shards=len(self._shards), **attrs)
-                if tracer.enabled else None)
-        return span, time.perf_counter()
-
     @staticmethod
-    def _fail(span, exc):
-        if span is not None:
-            get_tracer().finish(span, status="error",
-                                error=type(exc).__name__)
-
-    @staticmethod
-    def _finish(span, started, counter, routed, kept, dropped, failed,
+    def _finish(scope, counter, routed, kept, dropped, failed,
                 **status):
-        """The ``shard-merge`` event, the metrics and the span close of
-        one scatter-gather call."""
+        """The ``shard-merge`` event, the metrics and the close of one
+        merging scatter-gather call."""
+        span, metrics = scope.span, scope.metrics
+        if span is None and metrics is None:
+            return
         if span is not None:
             span.event("shard-merge", kept=kept, dropped=dropped,
                        routed=routed, failed=len(failed))
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(counter).inc()
-            registry.counter("shard.route.fanout").inc(routed)
-            registry.counter("shard.merge.dropped").inc(dropped)
+        if metrics is not None:
+            metrics.counter(counter).inc()
+            metrics.counter("shard.route.fanout").inc(routed)
+            metrics.counter("shard.merge.dropped").inc(dropped)
             if failed:
-                registry.counter("resilience.degraded.queries").inc()
-                registry.counter("resilience.degraded.failed_shards") \
+                metrics.counter("resilience.degraded.queries").inc()
+                metrics.counter("resilience.degraded.failed_shards") \
                     .inc(len(failed))
-            registry.observe_latency("shard.query",
-                                     time.perf_counter() - started)
-        if span is not None:
-            get_tracer().finish(span, failed_shards=sorted(failed),
-                                **status)
+        scope.close(failed_shards=sorted(failed), **status)
 
     def _encodable(self, pattern):
         """Cap-check ``pattern``; False when it has a foreign character
@@ -609,11 +592,14 @@ class ShardedSpineIndex:
         """
         if pattern == "":
             return True
-        if not self._encodable(pattern):
-            return False
-        routes = self._routes(len(pattern), limit)
-        return any(hit for _, hit in self._answers(
-            routes, search.contains, pattern, cancel))
+        encodable = self._encodable(pattern)
+        with query_scope("shard.contains", latency="shard.query",
+                         shards=len(self._shards), pattern=pattern) as scope:
+            found = encodable and any(hit for _, hit in self._answers(
+                self._routes(len(pattern), limit), search.contains,
+                pattern, cancel))
+            scope.close("hit" if found else "miss")
+        return found
 
     def find_first(self, pattern, limit=None, cancel=None):
         """Global start of the first occurrence, or ``None``.
@@ -625,14 +611,19 @@ class ShardedSpineIndex:
         """
         if pattern == "":
             return 0
-        if not self._encodable(pattern):
-            return None
-        routes = self._routes(len(pattern), limit)
-        for shard, local in self._answers(routes, search.find_first,
-                                          pattern, cancel):
-            if local is not None and local < shard.owned_len:
-                return local + shard.start
-        return None
+        encodable = self._encodable(pattern)
+        with query_scope("shard.find_first", latency="shard.query",
+                         shards=len(self._shards), pattern=pattern) as scope:
+            start = None
+            routes = self._routes(len(pattern), limit) if encodable \
+                else []
+            for shard, local in self._answers(routes, search.find_first,
+                                              pattern, cancel):
+                if local is not None and local < shard.owned_len:
+                    start = local + shard.start
+                    break
+            scope.close("miss" if start is None else "hit")
+        return start
 
     def find_all(self, pattern, limit=None, cancel=None, degraded=None):
         """Sorted global starts of all occurrences in the
@@ -655,21 +646,18 @@ class ShardedSpineIndex:
         encodable = self._encodable(pattern)
         if degraded is None:
             degraded = self.degraded
-        span, started = self._begin("shard.find_all", pattern=pattern)
         failed = {}
-        try:
-            routes = (self._routes(len(pattern), limit, span)
+        with query_scope("shard.find_all", latency="shard.query",
+                         shards=len(self._shards), pattern=pattern) as scope:
+            routes = (self._routes(len(pattern), limit)
                       if encodable else [])
             starts, dropped = self._merge(self._answers(
                 routes, search.find_all, pattern, cancel, degraded,
-                failed, span))
-        except BaseException as exc:
-            self._fail(span, exc)
-            raise
-        self._finish(span, started, "shard.queries", len(routes),
-                     len(starts), dropped, failed,
-                     status="hit" if starts else "miss",
-                     occurrences=len(starts))
+                failed))
+            self._finish(scope, "shard.queries", len(routes),
+                         len(starts), dropped, failed,
+                         status="hit" if starts else "miss",
+                         occurrences=len(starts))
         return self._result(starts, degraded, failed)
 
     def count(self, pattern, limit=None, cancel=None):
@@ -706,8 +694,6 @@ class ShardedSpineIndex:
                 raise SearchError(
                     "find_all of the empty pattern is ill-defined")
             self._check_pattern(pattern)
-        span, started = self._begin("shard.batch_find_all",
-                                    patterns=len(patterns))
         failed = {}
 
         def batch(index, patterns, bound, cancel):
@@ -715,40 +701,39 @@ class ShardedSpineIndex:
                 index, patterns, threads=1, limit=bound,
                 cancel=cancel.child() if cancel is not None else None)
 
-        try:
+        with query_scope("shard.batch_find_all", latency="shard.query",
+                         shards=len(self._shards),
+                         patterns=len(patterns)) as scope:
             routes = self._routes(min(map(len, patterns), default=1),
-                                  limit, span)
+                                  limit)
             if len(routes) > 1 and executor is None and threads > 1:
                 with ThreadPoolExecutor(max_workers=threads) as pool:
                     answers = list(self._answers(
                         routes, batch, patterns, cancel, degraded,
-                        failed, span, pool.map))
+                        failed, pool.map))
             else:
                 answers = list(self._answers(
                     routes, batch, patterns, cancel, degraded, failed,
-                    span, executor.map if len(routes) > 1
+                    executor.map if len(routes) > 1
                     and executor is not None else map))
-        except BaseException as exc:
-            self._fail(span, exc)
-            raise
 
-        results = []
-        kept = dropped = 0
-        for j, pattern in enumerate(patterns):
-            if self.alphabet.try_encode(pattern) is None:
+            results = []
+            kept = dropped = 0
+            for j, pattern in enumerate(patterns):
+                if self.alphabet.try_encode(pattern) is None:
+                    results.append(BatchMatch(
+                        pattern, self._result([], degraded, failed),
+                        "alphabet-miss"))
+                    continue
+                starts, lost = self._merge(
+                    (shard, local[j].starts) for shard, local in answers)
+                kept += len(starts)
+                dropped += lost
                 results.append(BatchMatch(
-                    pattern, self._result([], degraded, failed),
-                    "alphabet-miss"))
-                continue
-            starts, lost = self._merge(
-                (shard, local[j].starts) for shard, local in answers)
-            kept += len(starts)
-            dropped += lost
-            results.append(BatchMatch(
-                pattern, self._result(starts, degraded, failed),
-                "hit" if starts else "miss"))
-        self._finish(span, started, "shard.batches", len(routes), kept,
-                     dropped, failed, status="done")
+                    pattern, self._result(starts, degraded, failed),
+                    "hit" if starts else "miss"))
+            self._finish(scope, "shard.batches", len(routes), kept,
+                         dropped, failed, status="done")
         return results
 
     # -- growth --------------------------------------------------------

@@ -16,7 +16,7 @@ from collections import OrderedDict
 from contextlib import contextmanager
 
 from repro.exceptions import StorageError
-from repro.obs.trace import get_tracer
+from repro.obs.trace import active_span
 from repro.storage.failpoints import get_failpoints
 
 _FAILPOINTS = get_failpoints()
@@ -311,7 +311,7 @@ class BufferPool:
             # (the active span of :mod:`repro.obs.trace`, if any).
             # ``physical`` distinguishes real page reads from
             # fresh-allocation faults.
-            span = get_tracer().active
+            span = active_span()
             if span is not None:
                 span.event("page-fetch", page=page_id, physical=load)
             if len(self._frames) >= self.capacity:

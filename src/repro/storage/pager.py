@@ -38,7 +38,7 @@ import zlib
 
 from repro.exceptions import CorruptPageError, StorageError
 from repro.obs import get_registry
-from repro.obs.trace import get_tracer
+from repro.obs.trace import active_span
 from repro.resilience.retry import RetryPolicy
 from repro.storage.failpoints import CrashInjected, get_failpoints
 from repro.storage.metrics import IOMetrics
@@ -212,7 +212,7 @@ class PageFile:
         # A physical write during a traced query is a dirty write-back
         # that query forced (eviction under buffer pressure) — worth
         # attributing. Reads are attributed at the buffer-miss level.
-        span = get_tracer().active
+        span = active_span()
         if span is not None:
             span.event("page-write", page=page_id,
                        sync=self.sync_writes)
@@ -295,7 +295,7 @@ class PageFile:
         registry = get_registry()
         if registry.enabled:
             registry.counter("storage.corruption.pages").inc()
-        span = get_tracer().active
+        span = active_span()
         if span is not None:
             span.event("corrupt-page", page=page_id,
                        generation=None if zeroed else stored_gen)

@@ -41,8 +41,7 @@ import threading
 import time
 
 from repro.exceptions import CorruptPageError, StorageError
-from repro.obs import get_registry
-from repro.obs.trace import get_tracer
+from repro.obs import get_registry, query_scope
 
 __all__ = ["Scrubber", "scrub_index"]
 
@@ -150,12 +149,6 @@ class Scrubber:
 
     def scrub_once(self):
         """Run one full sweep and return a JSON-ready report."""
-        registry = get_registry()
-        metrics = registry if registry.enabled else None
-        tracer = get_tracer()
-        span = (tracer.begin("storage.scrub",
-                             targets=len(self._targets()))
-                if tracer.enabled else None)
         report = {
             "pages_checked": 0,
             "corrupt": [],       # [{"shard": i|None, "pages": [...]}]
@@ -164,50 +157,55 @@ class Scrubber:
             "repaired_shards": [],
             "repair_failed_shards": [],
         }
-        for shard_id, target in self._targets():
-            checked, corrupt, errors, aborted = self._scrub_one(target)
-            report["pages_checked"] += checked
-            report["errors"].extend(errors)
-            if aborted:
-                report["aborted_targets"] += 1
-            if not corrupt:
-                continue
-            report["corrupt"].append({"shard": shard_id,
-                                      "pages": corrupt})
-            if span is not None:
-                span.event("corrupt-detected", shard=shard_id,
-                           pages=len(corrupt))
-            if (shard_id is not None and self.repair
-                    and getattr(self.index, "breakers_enabled", False)):
-                self._repair(shard_id, corrupt, report, span)
-        if metrics is not None:
-            metrics.counter("scrub.sweeps").inc()
-            metrics.counter("scrub.pages").inc(report["pages_checked"])
-            corrupt_pages = sum(len(c["pages"])
-                                for c in report["corrupt"])
-            if corrupt_pages:
-                metrics.counter("scrub.corrupt_pages").inc(
+        with query_scope("storage.scrub",
+                         targets=len(self._targets())) as scope:
+            span = scope.span
+            for shard_id, target in self._targets():
+                checked, corrupt, errors, aborted = \
+                    self._scrub_one(target)
+                report["pages_checked"] += checked
+                report["errors"].extend(errors)
+                if aborted:
+                    report["aborted_targets"] += 1
+                if not corrupt:
+                    continue
+                report["corrupt"].append({"shard": shard_id,
+                                          "pages": corrupt})
+                if span is not None:
+                    span.event("corrupt-detected", shard=shard_id,
+                               pages=len(corrupt))
+                if (shard_id is not None and self.repair
+                        and getattr(self.index, "breakers_enabled",
+                                    False)):
+                    self._repair(shard_id, corrupt, report, scope)
+            metrics = scope.metrics
+            if metrics is not None:
+                metrics.counter("scrub.sweeps").inc()
+                metrics.counter("scrub.pages").inc(
+                    report["pages_checked"])
+                corrupt_pages = sum(len(c["pages"])
+                                    for c in report["corrupt"])
+                if corrupt_pages:
+                    metrics.counter("scrub.corrupt_pages").inc(
+                        corrupt_pages)
+                if report["errors"]:
+                    metrics.counter("scrub.errors").inc(
+                        len(report["errors"]))
+                metrics.gauge("scrub.last_sweep_pages").set(
+                    report["pages_checked"])
+                metrics.gauge("scrub.last_sweep_corrupt").set(
                     corrupt_pages)
-            if report["errors"]:
-                metrics.counter("scrub.errors").inc(
-                    len(report["errors"]))
-            metrics.gauge("scrub.last_sweep_pages").set(
-                report["pages_checked"])
-            metrics.gauge("scrub.last_sweep_corrupt").set(
-                corrupt_pages)
-        if span is not None:
-            tracer.finish(
-                span,
-                status="corrupt" if report["corrupt"] else "clean",
-                pages=report["pages_checked"])
+            scope.close("corrupt" if report["corrupt"] else "clean",
+                        pages=report["pages_checked"])
         self.sweeps += 1
         self.last_report = report
         return report
 
-    def _repair(self, shard_id, corrupt_pages, report, span):
-        """Quarantine + online rebuild of one corrupt shard."""
-        registry = get_registry()
-        metrics = registry if registry.enabled else None
+    def _repair(self, shard_id, corrupt_pages, report, scope):
+        """Quarantine + online rebuild of one corrupt shard, recorded in
+        the sweep's ``scope``."""
+        metrics = scope.metrics
+        span = scope.span
         self.index.quarantine(
             shard_id,
             reason=f"scrub: {len(corrupt_pages)} corrupt pages")

@@ -197,7 +197,8 @@ class TestSharedScanAcceptance:
         try:
             patterns = [text[i:i + 5] for i in range(0, 80, 5)]
             ends = [search.find_first_end(disk, disk.alphabet.encode(p),
-                                       len(disk)) for p in patterns]
+                                          len(disk))[0]
+                    for p in patterns]
             metrics = disk.pagefile.metrics
 
             # Sweep phase only: the 16 traversals are identical on both
@@ -239,7 +240,7 @@ class TestSharedScanAcceptance:
                 m = len(pattern)
                 codes = disk.alphabet.encode(pattern)
                 metrics.reset()
-                first_end = search.find_first_end(disk, codes, n)
+                first_end, _ = search.find_first_end(disk, codes, n)
                 walk = metrics.buffer_hits + metrics.buffer_misses
                 metrics.reset()
                 assert disk.find_all(pattern) == \
@@ -257,7 +258,8 @@ class TestSharedScanAcceptance:
             scanner = OccurrenceScanner(disk)
             for pattern in patterns:
                 scanner.add(search.find_first_end(
-                    disk, disk.alphabet.encode(pattern), n), len(pattern))
+                    disk, disk.alphabet.encode(pattern), n)[0],
+                    len(pattern))
             metrics.reset()
             scanner.resolve()
             assert metrics.reads <= 30

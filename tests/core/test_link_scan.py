@@ -103,7 +103,8 @@ def target_bitmap(nodes, hi):
 def first_ends(index, pattern_list):
     out = []
     for pattern in pattern_list:
-        end = search.find_first_end(index, index.alphabet.encode(pattern))
+        end, _ = search.find_first_end(index,
+                                       index.alphabet.encode(pattern))
         if end is not None:
             out.append((end, len(pattern)))
     return out
@@ -283,7 +284,8 @@ def test_windows_start_at_the_first_scanned_node(monkeypatch, long_index):
     monkeypatch.setattr(index, "link_candidates", recorded)
     for start in (5, stride - 3, stride + 17, 3 * stride + 1):
         pattern = text[start:start + 12]
-        first = search.find_first_end(index, index.alphabet.encode(pattern))
+        first, _ = search.find_first_end(index,
+                                         index.alphabet.encode(pattern))
         windows.clear()
         search.find_all(index, pattern)
         assert windows[0][0] == first + 1

@@ -31,7 +31,7 @@ class TestFindFirst:
 
     def test_find_first_end_is_node_id(self, index):
         codes = index.alphabet.encode("abra")
-        assert find_first_end(index, codes) == 4
+        assert find_first_end(index, codes) == (4, 4)
 
 
 class TestFindAll:
@@ -60,7 +60,7 @@ class TestOccurrenceScanner:
         scanner = OccurrenceScanner(index)
         pids = {}
         for p in patterns:
-            end = find_first_end(index, index.alphabet.encode(p))
+            end, _ = find_first_end(index, index.alphabet.encode(p))
             pids[p] = scanner.add(end, len(p))
         starts = scanner.resolve_starts()
         for p in patterns:
@@ -92,7 +92,7 @@ class TestOccurrenceScanner:
 
     def test_duplicate_patterns_allowed(self, index):
         scanner = OccurrenceScanner(index)
-        end = find_first_end(index, index.alphabet.encode("abra"))
+        end, _ = find_first_end(index, index.alphabet.encode("abra"))
         pid1 = scanner.add(end, 4)
         pid2 = scanner.add(end, 4)
         starts = scanner.resolve_starts()

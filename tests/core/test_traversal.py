@@ -4,7 +4,8 @@ One engine walk (``repro.core.search.walk``) applies the edge rule over
 each layer's ``vertebra_run``, ``rib`` and ``extrib_chain``. These tests
 pin the run accessor's contract, the snapshot ``limit`` on a run, and
 that the run-at-a-time walk records exactly the trace events and counts
-of a per-character walk with ``search.step``.
+of a per-character walk with ``search.step``. Both walks record into
+the calling thread's active span.
 """
 
 import random
@@ -13,12 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import matching
+from repro.core import matching, search
 from repro.core.matching import (MatchingResult,
                                  brute_force_matching_statistics)
 from repro.core.search import find_first_end, step
-from repro.obs.registry import MetricsRegistry
-from repro.obs.trace import Span, tracing_enabled
+from repro.obs import metrics_enabled
+from repro.obs.trace import active_span, tracing_enabled
 from repro.sequences import generate_dna
 from tests.conftest import PAPER_STRING, three_layers
 
@@ -39,26 +40,27 @@ def dna_layers():
         yield layers
 
 
-def reference_first_end(index, codes, limit, span=None):
+def reference_first_end(index, codes, limit):
     """``(end node or None, steps)`` with one ``search.step`` per code."""
     node = 0
     for i, code in enumerate(codes):
-        node = step(index, node, i, code, span)
+        node = step(index, node, i, code)
         if node is None or node > limit:
             return None, i + 1
     return node, len(codes)
 
 
-def reference_matching(index, codes, span=None):
+def reference_matching(index, codes):
     """Matching statistics with one ``search.step`` per attempt: on a
     failed step take the longest suffix recorded at the node (the last
     rejected rib or extrib) when it covers the link's LEL, else hop."""
+    span = active_span()
     result = MatchingResult()
     cur, length = 0, 0
     for code in codes:
         while True:
             result.checks += 1
-            nxt = step(index, cur, length, code, span)
+            nxt = step(index, cur, length, code)
             if nxt is not None:
                 cur, length = nxt, length + 1
                 break
@@ -188,11 +190,12 @@ class TestSnapshotLimit:
         # 3 -> 9 that crosses limit 6 on its fourth step (into node 7).
         for idx in paper_layers.values():
             codes = idx.alphabet.encode("ccacaac")
-            metrics = MetricsRegistry()
-            assert find_first_end(idx, codes, 9) == 9
-            assert find_first_end(idx, codes, 6, metrics=metrics) is None
-            steps = metrics.counter(idx.NAME_PREFIX + "search.steps")
-            assert steps.value == 5
+            assert find_first_end(idx, codes, 9)[0] == 9
+            assert find_first_end(idx, codes, 6) == (None, 5)
+            with metrics_enabled() as registry:
+                assert search.find_first(idx, "ccacaac", 6) is None
+                steps = registry.counter(idx.NAME_PREFIX + "search.steps")
+                assert steps.value == 5
             assert reference_first_end(idx, codes, 6) == (None, 5)
 
     def test_steps_equal_per_character_walk(self, dna_layers):
@@ -200,17 +203,19 @@ class TestSnapshotLimit:
         patterns = _patterns(rng, 150)
         for idx in dna_layers.values():
             for limit in (len(TEXT), 2000, 700, 40):
-                metrics = MetricsRegistry()
-                counter = metrics.counter(idx.NAME_PREFIX
-                                          + "search.steps")
-                for pattern in patterns:
-                    codes = idx.alphabet.encode(pattern)
-                    before = counter.value
-                    end = find_first_end(idx, codes, limit,
-                                         metrics=metrics)
-                    assert (end, counter.value - before) == \
-                        reference_first_end(idx, codes, limit), \
-                        (pattern, limit)
+                with metrics_enabled() as registry:
+                    counter = registry.counter(idx.NAME_PREFIX
+                                               + "search.steps")
+                    for pattern in patterns:
+                        codes = idx.alphabet.encode(pattern)
+                        want = reference_first_end(idx, codes, limit)
+                        assert find_first_end(idx, codes, limit) == \
+                            want, (pattern, limit)
+                        # The point-query verbs publish the same count.
+                        before = counter.value
+                        search.find_first(idx, pattern, limit)
+                        assert counter.value - before == want[1], \
+                            (pattern, limit)
 
 
 class TestTraceEvents:
@@ -223,10 +228,17 @@ class TestTraceEvents:
             for limit in (len(TEXT), 900):
                 for pattern in patterns:
                     codes = idx.alphabet.encode(pattern)
-                    span = Span(1, "run", coalesce=coalesce)
-                    ref = Span(2, "step", coalesce=coalesce)
-                    assert find_first_end(idx, codes, limit, span=span) \
-                        == reference_first_end(idx, codes, limit, ref)[0]
+                    # Warm the disk pool: no page-fetch events below.
+                    want = reference_first_end(idx, codes, limit)[0]
+                    with tracing_enabled(coalesce_vertebras=coalesce) \
+                            as tracer:
+                        span = tracer.begin("run")
+                        got = find_first_end(idx, codes, limit)[0]
+                        tracer.finish(span)
+                        ref = tracer.begin("step")
+                        assert got == reference_first_end(
+                            idx, codes, limit)[0] == want
+                        tracer.finish(ref)
                     assert span.events == ref.events, (name, pattern)
 
     @pytest.mark.parametrize("coalesce", [True, False])
@@ -242,8 +254,9 @@ class TestTraceEvents:
                 with tracing_enabled(coalesce_vertebras=coalesce) as tr:
                     got = matching.matching_statistics(idx, query)
                     events = tr.spans[-1].events
-                ref = Span(2, "step", coalesce=coalesce)
-                reference = reference_matching(idx, codes, ref)
+                    ref = tr.begin("step")
+                    reference = reference_matching(idx, codes)
+                    tr.finish(ref)
                 assert got == expected == reference, name
                 assert events == ref.events, name
 
@@ -280,9 +293,10 @@ def test_walk_equals_references_on_every_layer(case, coalesce):
             with tracing_enabled(coalesce_vertebras=coalesce) as tr:
                 got = matching.matching_statistics(idx, query)
                 events = tr.spans[-1].events
-            ref = Span(2, "step", coalesce=coalesce)
-            assert got == expected == reference_matching(idx, codes, ref), \
-                name
+                ref = tr.begin("step")
+                reference = reference_matching(idx, codes)
+                tr.finish(ref)
+            assert got == expected == reference, name
             assert got.lengths == oracle, name
             assert events == ref.events, name
             # Every snapshot limit, those inside a vertebra run included:
@@ -291,7 +305,7 @@ def test_walk_equals_references_on_every_layer(case, coalesce):
             for limit in range(len(text) + 1):
                 start = text[:limit].find(pattern)
                 want = None if start < 0 else start + len(pattern)
-                assert find_first_end(idx, pattern_codes, limit) == want, \
-                    (name, limit)
+                assert find_first_end(idx, pattern_codes, limit)[0] \
+                    == want, (name, limit)
                 assert reference_first_end(idx, pattern_codes,
                                            limit)[0] == want, (name, limit)

@@ -6,8 +6,8 @@ trace or instrument objects — call sites gate on one attribute check
 and fall through to the seed-era fast loops. The test enforces that
 two ways: sentinel identity (disabled registries/tracers hand back
 ``NULL_INSTRUMENT``/``None``) and booby-trapped constructors (any
-``Span``/``Counter``/``Timer``/``Histogram`` allocation during the
-disabled run raises). A loose wall-clock bound keeps the disabled path
+``Span``/``QueryScope``/``Counter``/``Timer``/``Histogram`` allocation
+during the disabled run raises). A loose wall-clock bound keeps the disabled path
 within a factor of the bare traversal core it wraps.
 """
 
@@ -51,13 +51,15 @@ def test_disabled_sentinels():
     assert obs.get_tracer().begin("x") is None
 
 
-def test_disabled_search_allocates_no_observability_objects(
-        big_index, patterns, monkeypatch):
+def _forbid_observability_objects(monkeypatch):
+    """Make every span, scope, instrument and quantile constructor
+    raise."""
     def boom(self, *args, **kwargs):
         raise AssertionError(
             "observability object allocated on the disabled path")
 
     monkeypatch.setattr(trace_mod.Span, "__init__", boom)
+    monkeypatch.setattr(obs.QueryScope, "__init__", boom)
     monkeypatch.setattr(registry_mod.Counter, "__init__", boom)
     monkeypatch.setattr(registry_mod.Timer, "__init__", boom)
     monkeypatch.setattr(registry_mod.Histogram, "__init__", boom)
@@ -66,6 +68,10 @@ def test_disabled_search_allocates_no_observability_objects(
     monkeypatch.setattr(quantiles_mod.StreamingQuantiles, "__init__",
                         boom)
 
+
+def test_disabled_search_allocates_no_observability_objects(
+        big_index, patterns, monkeypatch):
+    _forbid_observability_objects(monkeypatch)
     assert not obs.get_registry().enabled
     assert not obs.get_tracer().enabled
     for pattern in patterns:
@@ -83,18 +89,7 @@ def test_disabled_batch_and_service_allocate_nothing(
     from repro.core.batch import batch_find_all
     from repro.serve import QueryService
 
-    def boom(self, *args, **kwargs):
-        raise AssertionError(
-            "observability object allocated on the disabled path")
-
-    monkeypatch.setattr(trace_mod.Span, "__init__", boom)
-    monkeypatch.setattr(registry_mod.Counter, "__init__", boom)
-    monkeypatch.setattr(registry_mod.Timer, "__init__", boom)
-    monkeypatch.setattr(registry_mod.Histogram, "__init__", boom)
-    monkeypatch.setattr(registry_mod.Gauge, "__init__", boom)
-    monkeypatch.setattr(quantiles_mod.P2Quantile, "__init__", boom)
-    monkeypatch.setattr(quantiles_mod.StreamingQuantiles, "__init__",
-                        boom)
+    _forbid_observability_objects(monkeypatch)
     monkeypatch.setattr(
         slowlog_mod.SlowQueryLog, "observe",
         lambda *a, **k: (_ for _ in ()).throw(AssertionError(
@@ -105,6 +100,37 @@ def test_disabled_batch_and_service_allocate_nothing(
     with QueryService(big_index, threads=1) as service:
         service.find_all(patterns[0])
         service.batch_find_all(patterns[:4])
+
+
+def test_disabled_sharded_and_scrub_allocate_nothing(tmp_path,
+                                                     monkeypatch):
+    """Every sharded verb, on packed shards, and a scrub sweep over a
+    disk index take the shared null scope while everything is off."""
+    from repro.alphabet import dna_alphabet
+    from repro.disk import DiskSpineIndex
+    from repro.shard import ShardedSpineIndex
+    from repro.storage.scrub import Scrubber
+
+    text = generate_dna(6000, seed=13)
+    sharded = ShardedSpineIndex.build(text, shards=3, max_pattern_len=32,
+                                      layer="packed")
+    disk = DiskSpineIndex(alphabet=dna_alphabet(),
+                          path=str(tmp_path / "scrub.spine"))
+    disk.extend(text[:2000])
+    disk.checkpoint()
+    hits = [text[i:i + 12] for i in range(0, 5800, 400)]
+    _forbid_observability_objects(monkeypatch)
+    try:
+        for pattern in hits:
+            assert sharded.contains(pattern)
+            assert sharded.find_first(pattern) is not None
+            assert sharded.find_all(pattern)
+        assert not sharded.contains("ACGTTGCA" * 4)
+        assert all(match.found
+                   for match in sharded.batch_find_all(hits, threads=2))
+        assert Scrubber(disk).scrub_once()["corrupt"] == []
+    finally:
+        disk.close()
 
 
 def test_disabled_search_wall_clock_factor(big_index, patterns):

@@ -6,7 +6,7 @@ import pytest
 
 from repro import obs
 from repro.obs.trace import (
-    NULL_SPAN, Span, TRACE_SCHEMA, Tracer, get_tracer, set_tracer,
+    Span, TRACE_SCHEMA, Tracer, get_tracer, set_tracer,
     summarize_spans, tracing_enabled)
 
 PAPER = "aaccacaaca"
@@ -50,13 +50,6 @@ class TestSpan:
         assert doc["attrs"] == {"pattern": "ac"}
         assert doc["event_count"] == 1
 
-    def test_null_span_is_inert(self):
-        NULL_SPAN.event("anything", x=1)
-        NULL_SPAN.vertebra(0)
-        NULL_SPAN.set(y=2)
-        assert NULL_SPAN.events == ()
-        assert NULL_SPAN.to_dict()["event_count"] == 0
-
 
 class TestTracer:
     def test_disabled_begin_returns_none(self):
@@ -88,12 +81,13 @@ class TestTracer:
         assert [s.op for s in tracer.spans] == ["inner", "outer"]
 
     def test_query_context_manager_marks_errors(self):
-        tracer = Tracer(enabled=True)
-        with pytest.raises(RuntimeError):
-            with tracer.query("boom"):
-                raise RuntimeError("x")
+        with tracing_enabled() as tracer:
+            with pytest.raises(RuntimeError):
+                with obs.query_scope("boom"):
+                    raise RuntimeError("x")
+            assert tracer.active is None
         assert tracer.spans[-1].status == "error"
-        assert tracer.active is None
+        assert tracer.spans[-1].attrs["error"] == "RuntimeError"
 
     def test_retention_bound_counts_drops(self):
         tracer = Tracer(enabled=True, max_spans=2)

@@ -83,6 +83,37 @@ class TestDeadlines:
         finally:
             slow_log.disable()
 
+    def test_slow_log_records_answers_and_deadlines_only(self,
+                                                         monkeypatch):
+        index = SpineIndex(TEXT)
+        slow_log = get_slow_log()
+        slow_log.enable(threshold=0.0)
+        slow_log.clear()
+        try:
+            with QueryService(index, threads=1) as svc:
+                assert svc.contains("TACG")
+                with pytest.raises(DeadlineExceededError):
+                    svc.find_all("ACGT", deadline=1e-9)
+                monkeypatch.setattr(
+                    SnapshotGuard, "contains",
+                    lambda *a, **k: (_ for _ in ()).throw(KeyError("x")))
+                with pytest.raises(KeyError):
+                    svc.contains("TACG")
+            records = slow_log.records()
+        finally:
+            slow_log.disable()
+            slow_log.clear()
+        # A failing query that is not a deadline leaves no record.
+        assert len(records) == 2
+        answered, late = records
+        assert list(answered) == ["ts", "op", "seconds",
+                                  "admission_wait_s", "layer",
+                                  "pattern_chars", "found"]
+        assert answered["found"] is True
+        assert list(late) == ["ts", "op", "seconds", "admission_wait_s",
+                              "timed_out", "layer", "pattern_chars"]
+        assert late["timed_out"] is True
+
 
 class TestAdmission:
     def test_overload_sheds_with_structured_error(self):

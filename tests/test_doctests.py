@@ -9,6 +9,7 @@ import repro.core.cursor
 import repro.core.generalized
 import repro.core.index
 import repro.core.search
+import repro.obs
 
 
 @pytest.mark.parametrize("module", [
@@ -16,6 +17,7 @@ import repro.core.search
     repro.core.search,
     repro.core.generalized,
     repro.core.cursor,
+    repro.obs,
     repro.alphabet,
 ])
 def test_module_doctests(module):
