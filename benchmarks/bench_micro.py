@@ -3,7 +3,8 @@ timing loops, unlike the single-shot experiment benches).
 
 These give per-operation numbers a downstream user cares about:
 construction throughput per index family, point queries, occurrence
-enumeration, and matching-statistics streaming.
+enumeration, and matching-statistics streaming — plus the cost of
+generating the pseudo-genome inputs themselves.
 """
 
 import pytest
@@ -12,7 +13,7 @@ from repro.automaton import SuffixAutomaton
 from repro.core import SpineIndex
 from repro.core.matching import matching_statistics
 from repro.core.packed import PackedSpineIndex
-from repro.sequences import generate_dna
+from repro.sequences import derive_sequence, generate_dna
 from repro.suffixarray import SuffixArrayIndex
 from repro.suffixtree import SuffixTree
 
@@ -32,6 +33,16 @@ def query():
 @pytest.fixture(scope="module")
 def spine(text):
     return SpineIndex(text)
+
+
+def test_generate_dna(benchmark):
+    text = benchmark(generate_dna, N, seed=7)
+    assert len(text) == N
+
+
+def test_derive_sequence(benchmark, text):
+    derived = benchmark(derive_sequence, text, seed=11)
+    assert abs(len(derived) - len(text)) < N // 50
 
 
 def test_build_spine(benchmark, text):

@@ -117,7 +117,7 @@ class Alphabet:
     def decode(self, codes):
         """Decode an iterable of integer codes back to a string."""
         try:
-            return "".join(self.symbols[c] for c in codes)
+            return "".join(map(self.symbols.__getitem__, codes))
         except IndexError:
             raise AlphabetError(
                 f"code out of range for alphabet {self.name!r}"

@@ -168,6 +168,7 @@ class Tracer:
         self.coalesce_vertebras = coalesce_vertebras
         self.dropped = 0
         self._seq = 0
+        self._seq_lock = threading.Lock()
         self._next_id = itertools.count(1)
         self._active = _Active()
         self._spans = deque(maxlen=max_spans)
@@ -217,9 +218,12 @@ class Tracer:
         """
         if not self.enabled:
             return None
-        self._seq += 1
-        if self.sample_every > 1 \
-                and (self._seq - 1) % self.sample_every:
+        # Begins race under threads: number them under a lock (taken
+        # only while tracing is on) so none is lost to the sample.
+        with self._seq_lock:
+            self._seq += 1
+            seq = self._seq
+        if self.sample_every > 1 and (seq - 1) % self.sample_every:
             return None
         span = Span(next(self._next_id), op, attrs,
                     coalesce=self.coalesce_vertebras)

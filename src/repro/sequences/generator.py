@@ -17,11 +17,16 @@ Everything is deterministic given a seed (``numpy.random.Generator``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.exceptions import ReproError
+
+#: Uniforms drawn (and converted to Python floats) per chunk by
+#: :meth:`MarkovSequenceGenerator.generate_codes`.
+_UNIFORM_CHUNK = 8192
 
 
 def uniform_random(length, alphabet, seed=0):
@@ -65,24 +70,35 @@ class MarkovSequenceGenerator:
         self._size = size
 
     def generate_codes(self, length):
-        """Generate ``length`` integer codes."""
+        """Generate ``length`` integer codes.
+
+        Each code is the first cumulative-row entry above one uniform
+        draw (``bisect_right``, the rule of ``searchsorted(side=
+        "right")``), read as Python floats a chunk at a time: the codes
+        are the same for a seed as a per-character numpy loop's, at a
+        fraction of its cost.
+        """
         if length < 0:
             raise ReproError("length must be non-negative")
         size = self._size
+        top = size - 1
         order = self.order
         out = np.empty(length, dtype=np.int64)
-        uniforms = self.rng.random(length)
         context = 0
         context_mod = size ** order if order else 1
-        cum = self._cum
-        for i in range(length):
-            row = cum[context]
-            code = int(np.searchsorted(row, uniforms[i], side="right"))
-            if code >= size:
-                code = size - 1
-            out[i] = code
-            if order:
-                context = (context * size + code) % context_mod
+        rows = self._cum.tolist()
+        for start in range(0, length, _UNIFORM_CHUNK):
+            stop = min(start + _UNIFORM_CHUNK, length)
+            codes = []
+            append = codes.append
+            for u in self.rng.random(stop - start).tolist():
+                code = bisect_right(rows[context], u)
+                if code > top:
+                    code = top
+                append(code)
+                if order:
+                    context = (context * size + code) % context_mod
+            out[start:stop] = codes
         return out
 
     def generate(self, length):
@@ -113,7 +129,6 @@ class RepeatPlanter:
     family_length_range: tuple = (50, 2000)
     mutation_rate: float = 0.02
     tandem_probability: float = 0.25
-    _rng: np.random.Generator = field(default=None, repr=False)
 
     def plant(self, background_codes, target_length, alphabet_size, rng):
         """Weave repeats into ``background_codes`` until ``target_length``.
@@ -206,8 +221,8 @@ class SequenceProfile:
             alphabet, order=self.order, concentration=self.concentration,
             seed=rng.integers(0, 2**31),
         )
-        # Generate slightly more background than needed; the planter
-        # consumes background lazily.
+        # One background code per output character: the planter takes
+        # it lazily, and repeat copies leave the tail of it unused.
         background = markov.generate_codes(self.length)
         planter = RepeatPlanter(
             repeat_fraction=self.repeat_fraction,

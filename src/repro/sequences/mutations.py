@@ -14,6 +14,9 @@ import numpy as np
 from repro.alphabet import alphabet_for
 from repro.exceptions import ReproError
 
+#: Largest block of per-position draws :func:`indel_mutate` takes at once.
+_INDEL_BLOCK = 256
+
 
 def point_mutate(text, rate, seed=0, alphabet=None):
     """Substitute each character independently with probability
@@ -36,6 +39,28 @@ def point_mutate(text, rate, seed=0, alphabet=None):
     return "".join(out)
 
 
+def _next_event(rng, k, rate):
+    """Draw the next ``k`` per-position doubles; return the offset of
+    the first one below ``rate``, or ``None`` when there is none.
+
+    ``rng`` is left just past the hit, where ``k`` scalar
+    ``rng.random()`` calls stopping at it would leave it: the block
+    comes from one ``rng.random(k)`` (the same doubles), and on a hit
+    before its last draw the generator is rewound and redrawn up to the
+    hit, so the event's own draws continue the scalar stream.
+    """
+    bit_generator = rng.bit_generator
+    state = bit_generator.state
+    hits = rng.random(k) < rate
+    j = int(hits.argmax())
+    if not hits[j]:
+        return None
+    if j < k - 1:
+        bit_generator.state = state
+        rng.random(j + 1)
+    return j
+
+
 def indel_mutate(text, rate, seed=0, alphabet=None, max_indel=5):
     """Apply small insertions/deletions at per-position probability
     ``rate`` (half insertions, half deletions, lengths 1..max_indel)."""
@@ -49,21 +74,30 @@ def indel_mutate(text, rate, seed=0, alphabet=None, max_indel=5):
         alphabet = alphabet_for(text)
     rng = np.random.default_rng(seed)
     symbols = alphabet.symbols
+    # Blocks of about 1/rate draws: longer ones are mostly redrawn
+    # after their hit, shorter ones pay the per-block cost more often.
+    block = int(min(_INDEL_BLOCK, 1 / rate)) if rate else _INDEL_BLOCK
     out = []
     i = 0
     n = len(text)
     while i < n:
-        if rng.random() < rate:
-            length = int(rng.integers(1, max_indel + 1))
-            if rng.random() < 0.5:
-                # Insertion before position i.
-                out.extend(symbols[int(rng.integers(0, len(symbols)))]
-                           for _ in range(length))
-            else:
-                i += length  # deletion
-                continue
-        if i < n:
-            out.append(text[i])
+        k = min(block, n - i)
+        j = _next_event(rng, k, rate)
+        if j is None:
+            out.append(text[i:i + k])
+            i += k
+            continue
+        out.append(text[i:i + j])
+        i += j
+        length = int(rng.integers(1, max_indel + 1))
+        if rng.random() < 0.5:
+            # Insertion before position i.
+            out.extend(symbols[int(rng.integers(0, len(symbols)))]
+                       for _ in range(length))
+        else:
+            i += length  # deletion
+            continue
+        out.append(text[i])
         i += 1
     return "".join(out)
 

@@ -225,6 +225,31 @@ class TestPerThreadActive:
         ids = [span.trace_id for span in tracer.spans]
         assert len(ids) == len(set(ids)) == 8 * 400
 
+    def test_concurrent_begins_are_all_counted(self):
+        # Every begin takes its own sequence number: none is lost, so
+        # ``queries_seen`` is exact and exactly every Nth is sampled.
+        threads_n, begins, every = 8, 20_000, 4
+        tracer = Tracer(enabled=True, sample_every=every,
+                        max_spans=threads_n * begins)
+
+        def work():
+            for _ in range(begins):
+                tracer.finish(tracer.begin("op"))
+
+        threads = [threading.Thread(target=work) for _ in range(threads_n)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert tracer.summary()["queries_seen"] == threads_n * begins
+        assert len(tracer.spans) == threads_n * begins // every
+
     def test_concurrent_page_fetches_land_in_their_own_span(self,
                                                             tmp_path):
         text = generate_dna(6000, seed=41)
