@@ -8,6 +8,10 @@ Standalone snapshot script measuring what :mod:`repro.shard` buys:
    the repo that can scale with cores. The snapshot records
    ``cpu_count`` alongside the timings: on a single-core machine the
    pool pays IPC for nothing and the speedup honestly reports < 1.
+   A second pair builds packed shards at the repository benchmark's
+   serve-batch shape (the 199.5k-char HC21 text, 4 shards,
+   ``max_pattern_len=64``, 1 vs. 2 workers), where each shard is also
+   frozen into the Section 5 layout.
 2. **Query latency vs. shard count** — ``find_all`` and
    ``batch_find_all`` across shard counts (default 1/2/4/8) on the
    same text, plus the unsharded baseline, with parity asserted on
@@ -34,7 +38,7 @@ from repro import obs
 from repro.core.batch import batch_find_all
 from repro.core.index import SpineIndex
 from repro.obs.report import build_report
-from repro.sequences import generate_dna
+from repro.sequences import generate_dna, load_corpus_sequence
 from repro.shard import ShardedSpineIndex
 
 
@@ -60,11 +64,12 @@ def _make_workload(text, patterns, pattern_length, seed):
     return out
 
 
-def _build_seconds(text, shards, workers, max_pattern_len, repeats):
+def _build_seconds(text, shards, workers, max_pattern_len, repeats,
+                   layer="memory"):
     return _best_seconds(
         lambda: ShardedSpineIndex.build(
             text, shards=shards, workers=workers,
-            max_pattern_len=max_pattern_len),
+            max_pattern_len=max_pattern_len, layer=layer),
         repeats)
 
 
@@ -88,6 +93,22 @@ def collect_snapshot(scale=300_000, shards=4, workers=4,
         "serial_seconds": serial_seconds,
         "pool_seconds": pool_seconds,
         "speedup": serial_seconds / pool_seconds,
+    }
+    # Packed shards at serve-batch's shape: 28.5 chars per scale unit,
+    # so scale 7000 is its 199,500-char text.
+    packed_text = load_corpus_sequence("HC21", scale=7000)
+    packed_serial = _build_seconds(packed_text, 4, 1, 64, repeats,
+                                   layer="packed")
+    packed_pool = _build_seconds(packed_text, 4, 2, 64, repeats,
+                                 layer="packed")
+    build["packed"] = {
+        "scale": len(packed_text),
+        "shards": 4,
+        "workers": 2,
+        "max_pattern_len": 64,
+        "serial_seconds": packed_serial,
+        "pool_seconds": packed_pool,
+        "speedup": packed_serial / packed_pool,
     }
 
     # -- query latency vs. shard count -------------------------------
@@ -178,10 +199,12 @@ def main(argv=None):
     with open(path, "w") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
+    build = report["build"]
     print(f"wrote {path} "
-          f"(build speedup {report['build']['speedup']:.2f}x at "
-          f"{report['build']['workers']} worker(s) on "
-          f"{report['build']['cpu_count']} core(s))")
+          f"(build speedup {build['speedup']:.2f}x at "
+          f"{build['workers']} worker(s), packed "
+          f"{build['packed']['speedup']:.2f}x at 2, on "
+          f"{build['cpu_count']} core(s))")
     return 0
 
 

@@ -32,7 +32,6 @@ from repro.core.search import (
     find_all,
     find_first,
     is_valid_path,
-    trace_path,
 )
 from repro.core.matching import (
     MatchingResult,
@@ -63,7 +62,6 @@ __all__ = [
     "find_all",
     "find_first",
     "is_valid_path",
-    "trace_path",
     "MatchingResult",
     "MaximalMatch",
     "matching_statistics",

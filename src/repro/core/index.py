@@ -146,10 +146,7 @@ class SpineIndex(LayerVerbs):
             started = time.perf_counter()
         # Alphabet codes are in range by construction; bytes keep the
         # encoded chunk small while it is appended.
-        codes = bytes(self.alphabet.encode(text))
-        append = self.append_code
-        for c in codes:
-            append(c)
+        self._append_codes(bytes(self.alphabet.encode(text)))
         if observing:
             elapsed = time.perf_counter() - started
             registry.timer("construction.extend.seconds").observe(elapsed)
@@ -164,107 +161,81 @@ class SpineIndex(LayerVerbs):
         self.append_code(self.alphabet.encode_char(ch))
 
     def append_code(self, c):
-        """Append one character given as an integer alphabet code.
-
-        This is the paper's APPEND operation (Figure 4): one new backbone
-        node, one vertebra, the ribs/extribs needed to extend all
-        early-terminating suffixes, and the new tail's link.
-        """
+        """Append one character given as an integer alphabet code."""
         if not 0 <= c < self._asize:
             raise ConstructionError(
                 f"code {c} out of range for alphabet {self.alphabet.name!r}"
             )
-        codes = self._codes
+        self._append_codes(bytes((c,)))
+
+    def _append_codes(self, codes):
+        """The paper's APPEND (Figure 4) for each code of ``codes``
+        (bytes, in range): one new backbone node, one vertebra, the
+        ribs/extribs needed to extend all early-terminating suffixes,
+        and the new tail's link.
+
+        One loop per chunk: the effort counts are kept in locals and
+        published once at the end (when ``track_stats`` is on).
+        """
+        labels = self._codes
         link_dest = self._link_dest
         link_lel = self._link_lel
         ribs = self._ribs
         asize = self._asize
-
+        hops = created = 0
         n = self._n
-        codes.append(c)
-        new = n + 1
-        # ``self._n`` is published only once the new node is complete
-        # (vertebra, ribs/extribs and its link all appended): a
-        # concurrent snapshot-bounded reader (repro.serve) that
-        # observes ``len(index) == new`` must find node ``new`` fully
-        # formed. Entries planted mid-append always reference ``new``
-        # and are invisible to readers bounded at ``n`` or below.
-
-        if n == 0:
-            # First character: link straight to the root (Section 3).
-            link_dest.append(0)
-            link_lel.append(0)
-            self._n = new
-            return
-
-        # Walk the link chain starting from the old tail's link.
-        v = link_dest[n]
-        lel = link_lel[n]
+        for c in codes:
+            labels.append(c)
+            new = n + 1
+            if n:
+                # Walk the link chain starting from the old tail's link.
+                v = link_dest[n]
+                lel = link_lel[n]
+                while True:
+                    hops += 1
+                    if labels[v + 1] == c:
+                        # CASE 1: vertebra with the new character at v.
+                        link_dest.append(v + 1)
+                        link_lel.append(lel + 1)
+                        break
+                    key = v * asize + c
+                    rib = ribs.get(key)
+                    if rib is not None:
+                        d, pt = rib
+                        if pt >= lel:
+                            # CASE 2: rib with sufficient threshold.
+                            link_dest.append(d)
+                            link_lel.append(lel + 1)
+                            break
+                        # CASE 4: rib fails the threshold -> extribs.
+                        self._handle_extribs(key, d, pt, lel, new)
+                        break
+                    # CASE 3: no edge for c here; plant a rib to the tail.
+                    ribs[key] = (new, lel)
+                    created += 1
+                    if v == 0:
+                        # Chain exhausted at the root: null-suffix link.
+                        link_dest.append(0)
+                        link_lel.append(0)
+                        break
+                    lel = link_lel[v]
+                    v = link_dest[v]
+            else:
+                # First character: link straight to the root (Section 3).
+                link_dest.append(0)
+                link_lel.append(0)
+            # ``self._n`` is published only once the new node is
+            # complete (vertebra, ribs/extribs and its link all
+            # appended): a concurrent snapshot-bounded reader
+            # (repro.serve) that observes ``len(index) == new`` must
+            # find node ``new`` fully formed. Entries planted
+            # mid-append always reference ``new`` and are invisible to
+            # readers bounded at ``n`` or below.
+            self._n = n = new
         if self._track_stats:
-            self._append_tail_tracked(c, v, lel, new)
-            self._n = new
-            return
-        while True:
-            if codes[v + 1] == c:
-                # CASE 1: vertebra with the new character exists at v.
-                link_dest.append(v + 1)
-                link_lel.append(lel + 1)
-                break
-            key = v * asize + c
-            rib = ribs.get(key)
-            if rib is not None:
-                d, pt = rib
-                if pt >= lel:
-                    # CASE 2: rib with sufficient threshold.
-                    link_dest.append(d)
-                    link_lel.append(lel + 1)
-                    break
-                # CASE 4: rib fails the threshold test -> extrib chain.
-                self._handle_extribs(key, d, pt, lel, new)
-                break
-            # CASE 3: no edge for c here; plant a rib to the new tail.
-            ribs[v * asize + c] = (new, lel)
-            if v == 0:
-                # Chain exhausted at the root: null-suffix link.
-                link_dest.append(0)
-                link_lel.append(0)
-                break
-            lel = link_lel[v]
-            v = link_dest[v]
-        self._n = new
-
-    def _append_tail_tracked(self, c, v, lel, new):
-        """Same walk as :meth:`append_code`, with effort counters."""
-        codes = self._codes
-        link_dest = self._link_dest
-        link_lel = self._link_lel
-        ribs = self._ribs
-        asize = self._asize
-        counters = self.construction_counters
-        while True:
-            counters["chain_hops"] += 1
-            if codes[v + 1] == c:
-                link_dest.append(v + 1)
-                link_lel.append(lel + 1)
-                return
-            key = v * asize + c
-            rib = ribs.get(key)
-            if rib is not None:
-                d, pt = rib
-                if pt >= lel:
-                    link_dest.append(d)
-                    link_lel.append(lel + 1)
-                    return
-                self._handle_extribs(key, d, pt, lel, new)
-                return
-            ribs[v * asize + c] = (new, lel)
-            counters["rib_creations"] += 1
-            if v == 0:
-                link_dest.append(0)
-                link_lel.append(0)
-                return
-            lel = link_lel[v]
-            v = link_dest[v]
+            counters = self.construction_counters
+            counters["chain_hops"] += hops
+            counters["rib_creations"] += created
 
     def _handle_extribs(self, rib_key, d, rib_pt, lel, new):
         """CASE 4 of Figure 4: the rib's PT is below the required length.
@@ -411,7 +382,7 @@ class SpineIndex(LayerVerbs):
         """``(nodes, dests, LELs)`` int arrays of the nodes ``start <=
         j < stop`` with ``LEL >= min_lel``, ascending, or ``None`` — one
         window of :func:`repro.core.search.link_scan`. The slices are
-        copies, so a concurrent :meth:`append_code` can still grow the
+        copies, so a concurrent :meth:`extend` can still grow the
         link arrays."""
         lel = np.frombuffer(self._link_lel[start:stop], dtype=np.intc)
         cand = (lel >= min_lel).nonzero()[0]
@@ -447,7 +418,7 @@ class SpineIndex(LayerVerbs):
     def read_locked(self):
         """The layer protocol's read lock: a null context, because an
         in-memory index is consistent for any snapshot-bounded reader
-        (see :meth:`append_code`)."""
+        (see :meth:`_append_codes`)."""
         return _UNLOCKED
 
     # ------------------------------------------------------------------

@@ -37,6 +37,7 @@ bitmap, as on every layer.
 from __future__ import annotations
 
 import contextlib
+from itertools import chain
 
 import numpy as np
 
@@ -132,45 +133,67 @@ class PackedSpineIndex(LayerVerbs):
             for i in np.nonzero(lel_full >= OVERFLOW_SENTINEL)[0]
         }
 
-        # Group nodes by rib fanout.
-        by_node = {}
-        for key, (dest, pt) in index._ribs.items():
-            node, code = divmod(key, asize)
-            by_node.setdefault(node, []).append((code, dest, pt))
-        class_members = {}
-        for node, slots in by_node.items():
-            class_members.setdefault(len(slots), []).append(node)
-        ext_dest = []
-        ext_pt = []
-        packed._ld = np.zeros(len(by_node), dtype=np.int32)
-        packed._ld_base = np.zeros(max(class_members, default=0) + 1,
+        # One pass over the rib dict into arrays, sorted by key: each
+        # node's ribs are then contiguous and in code order.
+        ribs = index._ribs
+        m = len(ribs)
+        keys = np.fromiter(ribs, dtype=np.int64, count=m)
+        pairs = np.fromiter(chain.from_iterable(ribs.values()),
+                            dtype=np.int64, count=2 * m).reshape(m, 2)
+        by_key = keys.argsort()
+        keys = keys[by_key]
+        pairs = pairs[by_key]
+        nodes, first, fanouts = np.unique(keys // asize, return_index=True,
+                                          return_counts=True)
+        # Rows ordered by (fanout, node): class by class, nodes ascending
+        # within a class — the order of ``_ld``.
+        by_row = np.lexsort((nodes, fanouts))
+        nodes, first, fanouts = nodes[by_row], first[by_row], fanouts[by_row]
+        classes, starts, sizes = np.unique(fanouts, return_index=True,
+                                           return_counts=True)
+        packed._ld = lt_ref[nodes].astype(np.int32)
+        packed._ld_base = np.zeros(int(classes[-1]) + 1 if m else 1,
                                    dtype=np.int64)
-        offset = 0
-        for fanout, nodes in sorted(class_members.items()):
-            nodes.sort()
-            packed._ld_base[fanout] = offset
-            table = RibTable(fanout, packed._ld[offset:offset + len(nodes)])
-            offset += len(nodes)
+        packed._ld_base[classes] = starts
+        rows = np.arange(len(nodes)) - packed._ld_base[fanouts]
+        lt_ref[nodes] = -((fanouts << _PTR_CLASS_SHIFT) | rows) - 1
+
+        # Each RibTable's rib slots, as indexes into the sorted arrays.
+        slot_ribs = [first[start:start + size, None] + np.arange(fanout)
+                     for fanout, start, size
+                     in zip(classes.tolist(), starts.tolist(),
+                            sizes.tolist())]
+        # The extrib region holds the chains in (class, row, slot) order.
+        layout = (np.concatenate([s.ravel() for s in slot_ribs]) if m
+                  else np.zeros(0, dtype=np.int64))
+        chains = index._extchains
+        owners = np.fromiter(chains, dtype=np.int64, count=len(chains))
+        ext_len = np.zeros(m, dtype=np.int64)
+        ext_len[keys.searchsorted(owners)] = np.fromiter(
+            map(len, chains.values()), dtype=np.int64, count=len(chains))
+        lengths = ext_len[layout]
+        ext_off = np.zeros(m, dtype=np.int64)
+        ext_off[layout] = np.where(lengths, lengths.cumsum() - lengths, 0)
+        placed = keys[layout[lengths > 0]].tolist()
+        total = int(lengths.sum())
+        flat = np.fromiter(
+            chain.from_iterable(chain.from_iterable(
+                map(chains.__getitem__, placed))),
+            dtype=np.int64, count=2 * total).reshape(total, 2)
+
+        for fanout, start, size, slots in zip(
+                classes.tolist(), starts.tolist(), sizes.tolist(),
+                slot_ribs):
+            table = RibTable(fanout, packed._ld[start:start + size])
+            table.codes[:] = keys[slots] % asize
+            table.dests[:] = pairs[slots, 0]
+            table.pts[:] = pairs[slots, 1]
+            table.ext_off[:] = ext_off[slots]
+            table.ext_len[:] = ext_len[slots]
             packed._tables[fanout] = table
-            for row, node in enumerate(nodes):
-                table.ld[row] = lt_ref[node]
-                ptr = (fanout << _PTR_CLASS_SHIFT) | row
-                lt_ref[node] = -ptr - 1
-                for slot, (code, dest, pt) in enumerate(
-                        sorted(by_node[node])):
-                    table.codes[row, slot] = code
-                    table.dests[row, slot] = dest
-                    table.pts[row, slot] = pt
-                    chain = index._extchains.get(node * asize + code)
-                    if chain:
-                        table.ext_off[row, slot] = len(ext_dest)
-                        table.ext_len[row, slot] = len(chain)
-                        for e_dest, e_pt in chain:
-                            ext_dest.append(e_dest)
-                            ext_pt.append(e_pt)
         packed._lt_ref = lt_ref
-        packed._ext_dest = np.array(ext_dest, dtype=np.int32)
-        packed._ext_pt = np.array(ext_pt, dtype=np.int32)
+        packed._ext_dest = flat[:, 0].astype(np.int32)
+        packed._ext_pt = flat[:, 1].astype(np.int32)
         return packed
 
     # ------------------------------------------------------------------

@@ -522,27 +522,6 @@ def reaching_entries(cand, dest, lel, bitmap, base):
             yield j, d, length
 
 
-def trace_path(index, pattern):
-    """The node sequence of the valid path spelling ``pattern``.
-
-    Returns the list of visited nodes starting at the root, or ``None``
-    if the pattern has no valid path (i.e. is not a substring — a
-    character outside the alphabet included). Useful for debugging and
-    for the paper's Figure 3 walk-throughs.
-    """
-    codes = index.alphabet.try_encode(pattern)
-    if codes is None:
-        return None
-    nodes = [0]
-    with index.read_locked():
-        for pathlength, code in enumerate(codes):
-            node = step(index, nodes[-1], pathlength, code)
-            if node is None:
-                return None
-            nodes.append(node)
-    return nodes
-
-
 #: True iff a valid path for the pattern exists — by the paper's
 #: correctness theorem exactly when it is a substring of the data
 #: string (no false positives, Section 2.1), so this is :func:`contains`.

@@ -10,10 +10,13 @@ Two handoff channels, chosen by layer:
 memory / packed
     The worker builds an in-memory :class:`~repro.core.SpineIndex` and
     serializes it with :func:`repro.core.serialize.save_index` to a
-    scratch file; the parent deserializes (and, for the packed layer,
-    freezes with :meth:`~repro.core.packed.PackedSpineIndex.from_index`).
-    The SPNE serializer bulk-packs its sparse sections precisely so this
-    handoff does not eat the multicore speedup.
+    scratch file; the parent deserializes it. The SPNE serializer
+    bulk-packs its sparse sections precisely so this handoff does not
+    eat the multicore speedup. Packed shards cross as memory shards:
+    :meth:`~repro.shard.ShardedSpineIndex.build` freezes them in the
+    parent once the pool returns, with the array-pass
+    :meth:`~repro.core.packed.PackedSpineIndex.from_index` (a few
+    milliseconds per ~50k-char shard).
 
 disk
     The worker builds a :class:`~repro.disk.DiskSpineIndex` directly at
@@ -54,7 +57,8 @@ class ShardBuildSpec:
         self.text = text
         self.alphabet = alphabet
         #: ``"memory"`` | ``"packed"`` | ``"disk"``. Packed shards are
-        #: built as memory shards and frozen in the parent.
+        #: built and handed back as memory shards; the parent freezes
+        #: them after the pool returns (an array pass per shard).
         self.layer = layer
         #: Scratch ``.spne`` path (memory/packed) or the shard's final
         #: page-file path (disk).

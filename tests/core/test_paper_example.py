@@ -8,7 +8,8 @@ algorithm fails loudly.
 
 import pytest
 
-from repro.core import SpineIndex, trace_path, verify_index
+from repro.core import SpineIndex, verify_index
+from repro.core.search import find_first_end
 
 STRING = "aaccacaaca"
 
@@ -106,7 +107,9 @@ class TestPaperSearches:
         assert index.find_all("ac") == [1, 4, 7]
 
     def test_ac_trace_ends_at_first_occurrence(self, index):
-        assert trace_path(index, "ac") == [0, 1, 3]
+        # The valid path of "ac" is root -> 1 (vertebra) -> 3 (rib).
+        end, _ = find_first_end(index, index.alphabet.encode("ac"))
+        assert end == 3
 
     def test_all_substrings_present(self, index):
         subs = {STRING[i:j] for i in range(len(STRING))

@@ -3,12 +3,11 @@
 import pytest
 
 from repro.core import (
-    OccurrenceScanner, SpineIndex, find_all, find_first, is_valid_path,
-    trace_path)
+    OccurrenceScanner, SpineIndex, find_all, find_first, is_valid_path)
 from repro.core.search import find_first_end, step
 from repro.exceptions import SearchError
 from tests.conftest import (
-    PAPER_STRING, brute_occurrences, lock_checked_index, three_layers)
+    PAPER_STRING, brute_occurrences, three_layers)
 
 
 @pytest.fixture(scope="module")
@@ -100,26 +99,11 @@ class TestOccurrenceScanner:
 
 
 class TestPathTracing:
-    def test_trace_follows_backbone_and_ribs(self):
-        idx = SpineIndex("aaccacaaca")
-        assert trace_path(idx, "aacc") == [0, 1, 2, 3, 4]
-        assert trace_path(idx, "ac") == [0, 1, 3]
-
-    def test_trace_none_for_invalid(self):
-        idx = SpineIndex("aaccacaaca")
-        assert trace_path(idx, "accaa") is None
-
     def test_foreign_character_is_not_a_path(self, paper_layers):
         for idx in paper_layers.values():
-            assert trace_path(idx, "ACXG") is None
             assert idx.contains("ACXG") is False
-            assert trace_path(idx, "ACAA") == [0, 1, 3, 7, 8]
-
-    def test_walks_under_the_read_lock(self):
-        idx = lock_checked_index(PAPER_STRING)
-        assert trace_path(idx, "acaa") == [0, 1, 3, 7, 8]
-        assert trace_path(idx, "accaa") is None
-        assert idx.entries == 2
+            assert is_valid_path(idx, "ACXG") is False
+            assert is_valid_path(idx, "ACAA") is True
 
     def test_is_valid_path_equals_substring(self):
         idx = SpineIndex("aaccacaaca")

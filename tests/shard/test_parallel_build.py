@@ -77,3 +77,50 @@ def test_build_spec_round_trip_via_worker(tmp_path):
 def test_invalid_workers():
     with pytest.raises(ConstructionError):
         build_shard_indexes([], workers=0)
+
+
+def _assert_same_packed(a, b):
+    from tests.core.test_freeze_exactness import assert_same_layout
+
+    assert a.start == b.start
+    assert a.owned_len == b.owned_len
+    assert_same_layout(a.index, b.index)
+
+
+def test_parallel_packed_build_equals_serial_build():
+    from repro.core.packed import PackedSpineIndex
+
+    text = generate_dna(6_000, seed=13)
+    serial = ShardedSpineIndex.build(text, shards=3, max_pattern_len=10,
+                                     layer="packed", workers=1)
+    parallel = ShardedSpineIndex.build(text, shards=3, max_pattern_len=10,
+                                       layer="packed", workers=2)
+    for a, b in zip(serial._shards, parallel._shards, strict=True):
+        assert isinstance(b.index, PackedSpineIndex)
+        _assert_same_packed(a, b)
+    flat = SpineIndex(text)
+    for pattern in ("acgt", "gg", "tacg", text[2995:3005]):
+        expected = flat.find_all(pattern)
+        assert serial.find_all(pattern) == expected
+        assert parallel.find_all(pattern) == expected
+
+
+def test_memory_layout_loads_as_packed(tmp_path):
+    from repro.core.packed import PackedSpineIndex
+
+    text = generate_dna(5_000, seed=31)
+    path = str(tmp_path / "mem")
+    saved = ShardedSpineIndex.build(text, shards=3, max_pattern_len=10,
+                                    workers=2, path=path)
+    packed = ShardedSpineIndex.load(path, layer="packed")
+    direct = ShardedSpineIndex.build(text, shards=3, max_pattern_len=10,
+                                     layer="packed")
+    assert packed.layer == "packed"
+    for a, b in zip(direct._shards, packed._shards, strict=True):
+        assert isinstance(b.index, PackedSpineIndex)
+        _assert_same_packed(a, b)
+    flat = SpineIndex(text)
+    for pattern in ("acg", "tt", text[1660:1670]):
+        expected = flat.find_all(pattern)
+        assert saved.find_all(pattern) == expected
+        assert packed.find_all(pattern) == expected
