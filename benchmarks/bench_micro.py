@@ -4,8 +4,13 @@ timing loops, unlike the single-shot experiment benches).
 These give per-operation numbers a downstream user cares about:
 construction throughput per index family, point queries, occurrence
 enumeration, and matching-statistics streaming — plus the cost of
-generating the pseudo-genome inputs themselves.
+generating the pseudo-genome inputs themselves. The disk benches run
+at the shape of perfbench's ``disk-ingest``: a checkpointed 20k-char
+warm prefix reopened under a 64-page LRU pool, then 1000-char extends.
 """
+
+import os
+import shutil
 
 import pytest
 
@@ -13,11 +18,15 @@ from repro.automaton import SuffixAutomaton
 from repro.core import SpineIndex
 from repro.core.matching import matching_statistics
 from repro.core.packed import PackedSpineIndex
+from repro.disk import DiskSpineIndex
 from repro.sequences import derive_sequence, generate_dna
 from repro.suffixarray import SuffixArrayIndex
+from repro.storage.wal import wal_path_for
 from repro.suffixtree import SuffixTree
 
 N = 20_000
+#: Characters per disk extend.
+DISK_CHUNK = 1_000
 
 
 @pytest.fixture(scope="module")
@@ -111,3 +120,59 @@ def test_stream_matcher_throughput(benchmark, spine, query):
         return events
 
     benchmark.pedantic(run, rounds=3, iterations=1)
+
+
+@pytest.fixture(scope="module")
+def disk_warm(tmp_path_factory):
+    """Path and text of a checkpointed ``N``-char disk index."""
+    text = generate_dna(N + 4 * DISK_CHUNK, seed=9)
+    path = str(tmp_path_factory.mktemp("disk") / "warm.pages")
+    warm = DiskSpineIndex(path=path, buffer_pages=64,
+                          wal_fsync="interval")
+    warm.extend(text[:N])
+    warm.checkpoint()
+    warm.close()
+    return path, text
+
+
+def _reopen(disk_warm, directory):
+    """A fresh copy of the warm index, opened with a cold pool."""
+    warm_path, _ = disk_warm
+    os.makedirs(directory)
+    path = os.path.join(directory, "index.pages")
+    shutil.copyfile(warm_path, path)
+    if os.path.exists(wal_path_for(warm_path)):
+        shutil.copyfile(wal_path_for(warm_path), wal_path_for(path))
+    return DiskSpineIndex.open(path, buffer_pages=64,
+                               wal_fsync="interval")
+
+
+def test_disk_extend(benchmark, disk_warm, tmp_path):
+    text = disk_warm[1]
+    first = text[N:N + DISK_CHUNK]
+    second = text[N + DISK_CHUNK:N + 2 * DISK_CHUNK]
+    opened = []
+
+    def setup():
+        # The round's first extend warms the pool and shadows the
+        # checkpointed pages it touches; the second one is timed.
+        ix = _reopen(disk_warm, str(tmp_path / f"round{len(opened)}"))
+        ix.extend(first)
+        opened.append(ix)
+        return (ix,), {}
+
+    benchmark.pedantic(lambda ix: ix.extend(second), setup=setup,
+                       rounds=5, iterations=1)
+    for ix in opened:
+        assert len(ix) == N + 2 * DISK_CHUNK
+        ix.close()
+
+
+def test_disk_contains(benchmark, disk_warm, tmp_path):
+    text = disk_warm[1]
+    ix = _reopen(disk_warm, str(tmp_path / "round"))
+    for start in range(N, len(text), DISK_CHUNK):
+        ix.extend(text[start:start + DISK_CHUNK])
+    pattern = text[N // 2:N // 2 + 16]
+    assert benchmark(ix.contains, pattern)
+    ix.close()

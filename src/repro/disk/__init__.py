@@ -15,6 +15,5 @@
 
 from repro.disk.spine_disk import DiskSpineIndex
 from repro.disk.st_disk import DiskSuffixTree
-from repro.disk.st_store import PersistentSuffixTree
 
-__all__ = ["DiskSpineIndex", "DiskSuffixTree", "PersistentSuffixTree"]
+__all__ = ["DiskSpineIndex", "DiskSuffixTree"]

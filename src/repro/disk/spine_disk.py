@@ -136,15 +136,22 @@ class _PageLedger:
 
 
 class _Region:
-    """One record region spread over pages of the shared file."""
+    """One record region spread over pages of the shared file.
 
-    __slots__ = ("pagefile", "pool", "record", "per_page", "pages",
-                 "count", "ledger")
+    :meth:`read`, :meth:`byte` and :meth:`write` locate their page
+    inline and, on a single-threaded pool, take the pool's latch-free
+    hit path. A thread-safe pool keeps the full path: reads pin the
+    frame while it is decoded, and writes go through :meth:`_writable`.
+    """
+
+    __slots__ = ("pagefile", "pool", "record", "size", "per_page",
+                 "pages", "count", "ledger")
 
     def __init__(self, pagefile, pool, record, ledger=None):
         self.pagefile = pagefile
         self.pool = pool
         self.record = record
+        self.size = record.size
         self.ledger = ledger
         # Records pack into the page's caller-usable payload (the pager
         # reserves a checksum trailer in v3 files).
@@ -157,10 +164,6 @@ class _Region:
                 f"{record.size}-byte record; use larger pages")
         self.pages = []
         self.count = 0
-
-    def _locate(self, index):
-        page_no, slot = divmod(index, self.per_page)
-        return self.pages[page_no], slot * self.record.size
 
     def _alloc_page(self):
         if self.ledger is not None:
@@ -185,13 +188,24 @@ class _Region:
         of the unpack, so a parallel reader's fault cannot evict it
         mid-decode; the single-threaded path stays pin-free.
         """
-        page_id, offset = self._locate(index)
+        per_page = self.per_page
+        page_id = self.pages[index // per_page]
+        offset = index % per_page * self.size
         pool = self.pool
-        if pool.thread_safe:
-            with pool.pinned(page_id) as frame:
-                return self.record.unpack_from(frame, offset)
-        frame = pool.get(page_id)
-        return self.record.unpack_from(frame, offset)
+        if not pool.thread_safe:
+            return self.record.unpack_from(pool.get(page_id), offset)
+        with pool.pinned(page_id) as frame:
+            return self.record.unpack_from(frame, offset)
+
+    def byte(self, index):
+        """Record ``index`` of a one-byte region as an int (no unpack)."""
+        per_page = self.per_page
+        page_id = self.pages[index // per_page]
+        pool = self.pool
+        if not pool.thread_safe:
+            return pool.get(page_id)[index % per_page]
+        with pool.pinned(page_id) as frame:
+            return frame[index % per_page]
 
     def page_slices(self, start, stop):
         """Yield ``(first, chunk)`` covering records ``start <= index <
@@ -205,7 +219,7 @@ class _Region:
         other pages before asking for the next slice.
         """
         per_page = self.per_page
-        size = self.record.size
+        size = self.size
         pool = self.pool
         pages = self.pages
         index = start
@@ -229,22 +243,42 @@ class _Region:
         A page referenced by the last durable checkpoint is shadowed —
         copied to a fresh page id — before the mutation, so a crash can
         always roll back to that checkpoint (see :class:`_PageLedger`).
+        On a single-threaded pool, a page that exists and is not
+        committed is written in place without the allocation and
+        shadowing steps. Returns True when a fresh page was allocated
+        for the record.
         """
-        page_id, frame, slot = self._writable(index)
-        self.record.pack_into(frame, slot * self.record.size, *values)
-        self.pool.mark_dirty(page_id)
+        per_page = self.per_page
+        page_no = index // per_page
+        pages = self.pages
+        ledger = self.ledger
+        pool = self.pool
+        if (not pool.thread_safe and page_no < len(pages)
+                and (ledger is None
+                     or pages[page_no] not in ledger.committed)):
+            if index >= self.count:
+                self.count = index + 1
+            page_id = pages[page_no]
+            self.record.pack_into(pool.get(page_id),
+                                  index % per_page * self.size, *values)
+            pool.mark_dirty(page_id)
+            return False
+        page_id, frame, slot, fresh = self._writable(index)
+        self.record.pack_into(frame, slot * self.size, *values)
+        pool.mark_dirty(page_id)
+        return fresh
 
     def write_packed(self, start, raw):
         """Store the already-packed records ``raw`` at ``start``,
         ``start + 1``, ... with one pool lookup per page slice (same
         copy-on-write shadowing as :meth:`write`)."""
-        size = self.record.size
+        size = self.size
         per_page = self.per_page
         stop = start + len(raw) // size
         index = start
         pos = 0
         while index < stop:
-            page_id, frame, slot = self._writable(index)
+            page_id, frame, slot, _ = self._writable(index)
             take = min(stop - index, per_page - slot)
             lo = slot * size
             frame[lo:lo + take * size] = raw[pos:pos + take * size]
@@ -255,8 +289,9 @@ class _Region:
             self.count = stop
 
     def _writable(self, index):
-        """``(page_id, frame, slot)`` of record ``index``, allocating
-        its page or shadowing a committed one first."""
+        """``(page_id, frame, slot, fresh)`` of record ``index``,
+        allocating its page (``fresh``) or shadowing a committed one
+        first."""
         fresh = self.ensure(index)
         page_no, slot = divmod(index, self.per_page)
         page_id = self.pages[page_no]
@@ -265,9 +300,9 @@ class _Region:
                 and page_id in ledger.committed):
             page_id = ledger.shadow(page_id)
             self.pages[page_no] = page_id
-            return page_id, self.pool.get(page_id), slot
+            return page_id, self.pool.get(page_id), slot, False
         # A freshly allocated page has no on-disk contents to load.
-        return page_id, self.pool.get(page_id, load=not fresh), slot
+        return page_id, self.pool.get(page_id, load=not fresh), slot, fresh
 
 
 class DiskSpineIndex(LayerVerbs):
@@ -875,10 +910,8 @@ class DiskSpineIndex(LayerVerbs):
             raise ConstructionError(
                 "LEL exceeds the two-byte LT field (disk overflow table "
                 "not implemented; use the in-memory index)")
-        before = len(self._lt.pages)
-        ref = dest if rt_ptr == -1 else -rt_ptr - 1
-        self._lt.write(node, ref, lel)
-        if len(self._lt.pages) > before:
+        if self._lt.write(node, dest if rt_ptr == -1 else -rt_ptr - 1,
+                          lel):
             self._refresh_pintop_protection()
 
     def _lt_read(self, node):
@@ -1013,11 +1046,11 @@ class DiskSpineIndex(LayerVerbs):
         if self._tail is None:
             self._tail = self._lt_read(new - 1)[:2]
         v, lel = self._tail
-        cl_read = self._cl.read
+        label = self._cl.byte
         lt_read = self._lt.read
         rt = self._rt
         while True:
-            if cl_read(v + 1)[0] == c:
+            if label(v + 1) == c:
                 # CASE 1: vertebra.
                 return v + 1, lel + 1
             ref, v_lel = lt_read(v)
@@ -1123,7 +1156,7 @@ class DiskSpineIndex(LayerVerbs):
         """Character code of the vertebra into node ``i`` (1-based)."""
         if not 1 <= i <= self._n:
             raise SearchError(f"vertebra {i} out of range")
-        return self._cl.read(i)[0]
+        return self._cl.byte(i)
 
     def _rt_row(self, node):
         """The decoded RT row of ``node`` — its displaced link

@@ -15,6 +15,7 @@ the strings were shrunk.
 from __future__ import annotations
 
 import os
+import zlib
 
 from repro.sequences import load_corpus_sequence
 
@@ -101,8 +102,10 @@ def genome_pair(data_name, query_name, scale,
         return cached
     data = genome(data_name, scale)
     query = list(genome(query_name, scale))
+    # A digest, not the built-in ``hash``: string hashes are salted
+    # per process, and the pair must not change from run to run.
     rng = np.random.default_rng(
-        abs(hash((data_name, query_name, scale))) % (2 ** 31))
+        zlib.crc32(repr((data_name, query_name, scale)).encode()))
     alphabet = sorted(set(data))
     target = int(len(query) * share)
     planted = 0

@@ -109,6 +109,8 @@ class LRUPolicy:
 
     def __init__(self):
         self._order = OrderedDict()
+        #: Recency update of a page already resident: one C call.
+        self.hit = self._order.move_to_end
 
     def touch(self, page_id):
         """Mark ``page_id`` most recently used."""
@@ -137,11 +139,10 @@ class ClockPolicy:
         self._ref = OrderedDict()  # page -> referenced bit
 
     def touch(self, page_id):
-        """Set the page's referenced bit."""
-        if page_id in self._ref:
-            self._ref[page_id] = True
-        else:
-            self._ref[page_id] = True
+        """Set the page's referenced bit (a new page joins the tail)."""
+        self._ref[page_id] = True
+
+    hit = touch
 
     def evict(self):
         if not self._ref:
@@ -189,6 +190,8 @@ class PinTopPolicy:
             self._lru.pop(page_id, None)
             self._lru[page_id] = True
 
+    hit = touch
+
     def evict(self):
         # A page touched *before* its id entered the (mutable)
         # protected set still sits in the plain LRU dict; reclassify
@@ -218,13 +221,18 @@ class BufferPool:
     pages. All physical traffic lands in ``pagefile.metrics``; hit/miss
     counters land there too.
 
-    Concurrency. The pool starts single-threaded (zero locking on the
-    hot path, preserving the cost discipline of the experiments). A
-    caller that wants parallel readers calls
+    Concurrency. The pool starts single-threaded, and then a lookup of
+    a resident page is one straight-line path: a dict probe, the hit
+    counter and the policy's one-call recency update (``hit``), with
+    no latch context entered. :meth:`mark_dirty` skips the latch the
+    same way. Misses, evictions and everything else take the full
+    path, so the counters and the replacement order are the same on
+    both paths. A caller that wants parallel readers calls
     :meth:`enable_thread_safety`, after which every structural
-    operation runs under an internal latch. Independently of the latch,
-    :attr:`rwlock` is the advisory shared/exclusive lock query and
-    mutation *paths* coordinate through (readers: queries; writer:
+    operation, hits included, runs under an internal latch.
+    Independently of the latch, :attr:`rwlock` is the advisory
+    shared/exclusive lock query and mutation *paths* coordinate
+    through (readers: queries; writer:
     ``extend`` / checkpoint — see :class:`ReadWriteLock`), and
     :meth:`pin` / :meth:`pinned` keep a frame resident while a reader
     still unpacks records from it, so parallel queries cannot evict
@@ -238,19 +246,18 @@ class BufferPool:
         self.pagefile = pagefile
         self.capacity = capacity
         self.policy = policy if policy is not None else LRUPolicy()
+        self._hit = self.policy.hit
         self._frames = {}  # page_id -> bytearray
         self._dirty = set()
         self._pins = {}    # page_id -> pin count
         #: Advisory query-path/mutation-path lock (see class docstring).
         self.rwlock = ReadWriteLock()
         self._latch = _NULL_LATCH
+        #: True once :meth:`enable_thread_safety` has been called (a
+        #: plain attribute: the hit path reads it on every lookup).
+        self.thread_safe = False
         if thread_safe:
             self.enable_thread_safety()
-
-    @property
-    def thread_safe(self):
-        """True once :meth:`enable_thread_safety` has been called."""
-        return self._latch is not _NULL_LATCH
 
     def enable_thread_safety(self):
         """Switch the internal latch on (idempotent; never reverts).
@@ -266,6 +273,7 @@ class BufferPool:
         with self.rwlock.write_locked():
             if self._latch is _NULL_LATCH:
                 self._latch = threading.RLock()
+                self.thread_safe = True
         return self
 
     def __len__(self):
@@ -299,6 +307,12 @@ class BufferPool:
         ``load=False`` skips the physical read for pages known to be
         fresh allocations (their content starts zeroed).
         """
+        if not self.thread_safe:
+            frame = self._frames.get(page_id)
+            if frame is not None:
+                self.pagefile.metrics.buffer_hits += 1
+                self._hit(page_id)
+                return frame
         with self._latch:
             metrics = self.pagefile.metrics
             frame = self._frames.get(page_id)
@@ -367,6 +381,9 @@ class BufferPool:
 
     def mark_dirty(self, page_id):
         """Record that the resident page was mutated."""
+        if not self.thread_safe and page_id in self._frames:
+            self._dirty.add(page_id)
+            return
         with self._latch:
             if page_id not in self._frames:
                 raise StorageError(f"page {page_id} not resident")

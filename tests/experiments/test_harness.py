@@ -1,5 +1,9 @@
 """Experiment harness tests at tiny scales (smoke + shape)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.experiments import (
@@ -115,6 +119,27 @@ class TestWorkloads:
         # Planted homologous segments produce much deeper matches than
         # the independent sequence shows by chance.
         assert with_hom > without
+
+    def test_genome_pair_independent_of_hash_seed(self):
+        # Python salts string hashes per process; two processes with
+        # different salts must still build the same pair.
+        import repro
+
+        code = ("import hashlib\n"
+                "from repro.experiments.workloads import genome_pair\n"
+                "data, query = genome_pair('ECO', 'CEL', 200)\n"
+                "print(hashlib.sha256(f'{data}|{query}'.encode())"
+                ".hexdigest())\n")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        digests = set()
+        for salt in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=salt,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            done = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, check=True)
+            digests.add(done.stdout.strip())
+        assert len(digests) == 1
 
     def test_genome_pair_cached(self):
         from repro.experiments.workloads import genome_pair

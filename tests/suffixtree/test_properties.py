@@ -53,15 +53,3 @@ def test_online_extension_property(text, pieces):
             assert chunked.contains(text[i:j])
     assert not chunked.contains(text + "a") \
         or (text + "a") in text
-
-
-@settings(max_examples=50, deadline=None)
-@given(texts, st.data())
-def test_persistent_tree_property(text, data):
-    from repro.disk.st_store import PersistentSuffixTree
-
-    tree = PersistentSuffixTree.from_text(
-        text, alphabet=Alphabet("ab"), page_size=256, buffer_pages=3)
-    pattern = data.draw(st.text(alphabet="ab", min_size=1, max_size=6))
-    assert tree.find_all(pattern) == brute_occurrences(text, pattern)
-    tree.close()
