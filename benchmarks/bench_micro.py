@@ -21,6 +21,7 @@ from repro.core.packed import PackedSpineIndex
 from repro.disk import DiskSpineIndex
 from repro.sequences import derive_sequence, generate_dna
 from repro.suffixarray import SuffixArrayIndex
+from repro.storage import PageFile
 from repro.storage.wal import wal_path_for
 from repro.suffixtree import SuffixTree
 
@@ -176,3 +177,28 @@ def test_disk_contains(benchmark, disk_warm, tmp_path):
     pattern = text[N // 2:N // 2 + 16]
     assert benchmark(ix.contains, pattern)
     ix.close()
+
+
+@pytest.fixture(scope="module")
+def page_file(tmp_path_factory):
+    """A checksummed file-backed ``PageFile`` of 64 written 4 KiB
+    pages, left in the OS page cache."""
+    path = str(tmp_path_factory.mktemp("pages") / "pages.bin")
+    pf = PageFile(path=path, page_size=4096, checksums=True)
+    frame = bytearray(os.urandom(4096))
+    for _ in range(64):
+        pf.write_page(pf.allocate_page(), frame)
+    yield pf, frame
+    pf.close(sync=False)
+
+
+def test_page_read(benchmark, page_file):
+    pf, frame = page_file
+    got = benchmark(pf.read_page, 7)
+    assert got[:pf.payload_size] == frame[:pf.payload_size]
+
+
+def test_page_write(benchmark, page_file):
+    pf, frame = page_file
+    benchmark(pf.write_page, 7, frame)
+    assert pf.read_page(7)[:pf.payload_size] == frame[:pf.payload_size]

@@ -245,8 +245,8 @@ class _Region:
         always roll back to that checkpoint (see :class:`_PageLedger`).
         On a single-threaded pool, a page that exists and is not
         committed is written in place without the allocation and
-        shadowing steps. Returns True when a fresh page was allocated
-        for the record.
+        shadowing steps. Returns True when the record's page id
+        changed: a fresh page was allocated or a committed one shadowed.
         """
         per_page = self.per_page
         page_no = index // per_page
@@ -263,22 +263,25 @@ class _Region:
                                   index % per_page * self.size, *values)
             pool.mark_dirty(page_id)
             return False
-        page_id, frame, slot, fresh = self._writable(index)
+        page_id, frame, slot, moved = self._writable(index)
         self.record.pack_into(frame, slot * self.size, *values)
         pool.mark_dirty(page_id)
-        return fresh
+        return moved
 
     def write_packed(self, start, raw):
         """Store the already-packed records ``raw`` at ``start``,
         ``start + 1``, ... with one pool lookup per page slice (same
-        copy-on-write shadowing as :meth:`write`)."""
+        copy-on-write shadowing as :meth:`write`). Returns True when a
+        page id changed, as :meth:`write` does."""
         size = self.size
         per_page = self.per_page
         stop = start + len(raw) // size
         index = start
         pos = 0
+        any_moved = False
         while index < stop:
-            page_id, frame, slot, _ = self._writable(index)
+            page_id, frame, slot, moved = self._writable(index)
+            any_moved = any_moved or moved
             take = min(stop - index, per_page - slot)
             lo = slot * size
             frame[lo:lo + take * size] = raw[pos:pos + take * size]
@@ -287,11 +290,12 @@ class _Region:
             pos += take * size
         if stop > self.count:
             self.count = stop
+        return any_moved
 
     def _writable(self, index):
-        """``(page_id, frame, slot, fresh)`` of record ``index``,
-        allocating its page (``fresh``) or shadowing a committed one
-        first."""
+        """``(page_id, frame, slot, moved)`` of record ``index``,
+        allocating its page or shadowing a committed one first
+        (``moved``: either happened)."""
         fresh = self.ensure(index)
         page_no, slot = divmod(index, self.per_page)
         page_id = self.pages[page_no]
@@ -300,7 +304,7 @@ class _Region:
                 and page_id in ledger.committed):
             page_id = ledger.shadow(page_id)
             self.pages[page_no] = page_id
-            return page_id, self.pool.get(page_id), slot, False
+            return page_id, self.pool.get(page_id), slot, True
         # A freshly allocated page has no on-disk contents to load.
         return page_id, self.pool.get(page_id, load=not fresh), slot, fresh
 
@@ -368,13 +372,12 @@ class DiskSpineIndex(LayerVerbs):
         self.pagefile = PageFile(path=path, page_size=page_size,
                                  sync_writes=sync_writes,
                                  checksums=(fmt >= 3))
-        self._protected = set()
         if policy == "lru":
             pol = LRUPolicy()
         elif policy == "clock":
             pol = ClockPolicy()
         elif policy == "pintop":
-            pol = PinTopPolicy(self._protected)
+            pol = PinTopPolicy()
         else:
             raise ConstructionError(f"unknown buffer policy {policy!r}")
         self.policy_name = policy
@@ -892,12 +895,12 @@ class DiskSpineIndex(LayerVerbs):
         index._rt_free.update(meta["free_lists"])
 
     def _refresh_pintop_protection(self):
-        if self.policy_name != "pintop":
-            return
-        for page_id in self._cl.pages:
-            self._protected.add(page_id)
-        for page_id in self._lt.pages[:self._pintop_pages]:
-            self._protected.add(page_id)
+        """Protect exactly the live CL pages and the top LT pages; run
+        whenever one of their page ids changes (allocation, shadowing)
+        and on open."""
+        if self.policy_name == "pintop":
+            self.pool.policy.protect(
+                self._cl.pages + self._lt.pages[:self._pintop_pages])
 
     # ------------------------------------------------------------------
     # low-level record access
@@ -1022,9 +1025,7 @@ class DiskSpineIndex(LayerVerbs):
             start = self._n + 1
             piece = codes[pos:pos + cl.per_page - start % cl.per_page]
             pos += len(piece)
-            before = len(cl.pages)
-            cl.write_packed(start, piece)
-            if len(cl.pages) > before:
+            if cl.write_packed(start, piece):
                 self._refresh_pintop_protection()
             for c in piece:
                 n = self._n

@@ -84,8 +84,8 @@ class RetryPolicy:
             delay += delay * self.jitter * self._rng.random()
         return delay
 
-    def call(self, fn, site="storage", cancel=None, on_retry=None):
-        """Run ``fn()`` under this policy.
+    def call(self, fn, *args, site="storage", cancel=None, on_retry=None):
+        """Run ``fn(*args)`` under this policy.
 
         Retryable faults are swallowed until the budget is spent, with
         a backoff sleep between attempts (clipped to the remaining
@@ -97,17 +97,20 @@ class RetryPolicy:
 
         On exhaustion raises :class:`RetryExhaustedError` with the
         final fault chained as ``__cause__`` and ``attempts``/``site``
-        attached.
+        attached. ``site`` is formatted with ``args``
+        (``str.format``) only then, so a per-call label such as
+        ``"page {} read"`` costs nothing on the success path.
         """
         attempt = 0
         while True:
             if cancel is not None:
                 cancel.poll()
             try:
-                return fn()
+                return fn(*args)
             except self.retryable as exc:
                 attempt += 1
                 if attempt > self.retries:
+                    site = site.format(*args)
                     raise RetryExhaustedError(
                         f"{site} failed after {attempt} attempt(s): {exc}",
                         attempts=attempt, site=site) from exc

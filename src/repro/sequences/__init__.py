@@ -18,11 +18,6 @@ from repro.sequences.generator import (
     uniform_random,
 )
 from repro.sequences.fasta import read_fasta, write_fasta
-from repro.sequences.streams import (
-    iter_fasta,
-    stream_build,
-    stream_build_generalized,
-)
 from repro.sequences.mutations import (
     derive_sequence,
     indel_mutate,
@@ -46,9 +41,6 @@ __all__ = [
     "uniform_random",
     "read_fasta",
     "write_fasta",
-    "iter_fasta",
-    "stream_build",
-    "stream_build_generalized",
     "derive_sequence",
     "indel_mutate",
     "point_mutate",

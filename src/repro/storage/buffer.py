@@ -169,9 +169,10 @@ class PinTopPolicy:
     Parameters
     ----------
     protected_pages:
-        A set of page ids to protect. The caller may keep mutating it
-        (the disk index adds the first pages of its Link Table as they
-        are allocated).
+        A set of page ids to protect. The caller may keep adding to it,
+        or replace it with :meth:`protect` (the disk index protects its
+        CL pages and the first pages of its Link Table as their ids
+        change).
     """
 
     name = "pintop"
@@ -210,6 +211,19 @@ class PinTopPolicy:
     def forget(self, page_id):
         self._lru.pop(page_id, None)
         self._protected.pop(page_id, None)
+
+    def protect(self, page_ids):
+        """Make ``page_ids`` the protected set, rebuilt in place. A
+        resident page that leaves the set rejoins the LRU order as its
+        least recent page, so it goes first."""
+        protected = self.protected_pages
+        protected.clear()
+        protected.update(page_ids)
+        resident = self._protected
+        for page_id in reversed([p for p in resident if p not in protected]):
+            del resident[page_id]
+            self._lru[page_id] = True
+            self._lru.move_to_end(page_id, last=False)
 
 
 class BufferPool:

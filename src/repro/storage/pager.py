@@ -7,11 +7,13 @@ The buffer pool (:mod:`repro.storage.buffer`) sits on top.
 
 Durability hardening (see ``docs/durability.md``):
 
-* physical writes loop over ``os.pwrite`` until every byte lands — a
-  short write is completed, zero progress raises ``StorageError``
-  (before, a short write was a silent torn page);
-* physical reads loop over ``os.pread`` so an interior short read is
-  completed; reads hitting a transient ``OSError`` are retried under a
+* a physical write is one ``os.pwritev`` of the caller's payload (a
+  ``memoryview``, not a copy) and the 8-byte trailer; a short write is
+  completed by the same call on the rest, zero progress raises
+  ``StorageError`` (before, a short write was a silent torn page);
+* a physical read is one ``os.preadv`` straight into the zeroed frame
+  it returns; an interior short read is completed, bytes past EOF stay
+  zero; reads hitting a transient ``OSError`` are retried under a
   :class:`~repro.resilience.RetryPolicy` (bounded attempts,
   exponential backoff with a jitter cap — ``retry_policy=`` swaps the
   default, e.g. to also retry ``CorruptPageError`` on media where a
@@ -21,7 +23,8 @@ Durability hardening (see ``docs/durability.md``):
 * ``checksums=True`` reserves the last 8 bytes of every page for a
   trailer — CRC32 over (page id, generation, payload) plus the
   checkpoint generation that wrote the page — stamped on every write
-  and verified on every read; a mismatch raises
+  and verified on every read (the CRC runs over a ``memoryview`` of the
+  payload, so no page bytes are copied); a mismatch raises
   :class:`~repro.exceptions.CorruptPageError` and is counted as a
   ``storage.corruption.pages`` metric / ``corrupt-page`` trace event;
 * ``close()`` fsyncs before releasing the descriptor, so a cleanly
@@ -45,6 +48,8 @@ from repro.storage.metrics import IOMetrics
 
 #: Per-page trailer in checksum mode: CRC32, writing generation.
 _TRAILER = struct.Struct("<II")
+#: CRC seed input: the page id and the writing generation.
+_SEED = struct.Struct("<QI")
 
 _FAILPOINTS = get_failpoints()
 
@@ -152,53 +157,50 @@ class PageFile:
         self._check_open()
         self._check_page(page_id)
         self.metrics.record_read(page_id)
+        return self.retry_policy.call(
+            self._read_attempt, page_id, verify, site="page {} read",
+            cancel=cancel, on_retry=self._count_retry)
 
-        def _attempt():
-            if _FAILPOINTS.active:
-                _FAILPOINTS.fire("pager.read", page=page_id)
-            if self._fd is None:
-                data = self._pages.get(page_id) or b""
-            else:
-                data = self._pread_full(page_id)
-            buf = bytearray(self.page_size)
-            buf[:len(data)] = data
-            if verify and self.checksums:
-                self.check_page(page_id, buf)
-            return buf
+    def _read_attempt(self, page_id, verify):
+        """One read-then-verify attempt: a single ``preadv`` straight
+        into a fresh zeroed frame, completing an interior short read;
+        bytes past EOF stay zero (a trailing fresh page)."""
+        if _FAILPOINTS.active:
+            _FAILPOINTS.fire("pager.read", page=page_id)
+        size = self.page_size
+        if self._fd is None:
+            data = self._pages.get(page_id)
+            buf = bytearray(size) if data is None else bytearray(data)
+        else:
+            buf = bytearray(size)
+            offset = page_id * size
+            got = os.preadv(self._fd, (buf,), offset)
+            while 0 < got < size:
+                more = os.preadv(self._fd, (memoryview(buf)[got:],),
+                                 offset + got)
+                if not more:
+                    break  # EOF mid-page: the tail stays zero
+                got += more
+        if verify and self.checksums and not self.verify_page(page_id, buf):
+            self._raise_corrupt(page_id, buf)
+        return buf
 
-        def _on_retry(attempt, exc):
-            self.metrics.read_retries += 1
-
-        return self.retry_policy.call(_attempt,
-                                      site=f"page {page_id} read",
-                                      cancel=cancel, on_retry=_on_retry)
-
-    def _pread_full(self, page_id):
-        """Read one page's bytes, completing interior short reads; a
-        read at EOF returns what exists (caller zero-fills)."""
-        offset = page_id * self.page_size
-        parts = []
-        got = 0
-        while got < self.page_size:
-            chunk = os.pread(self._fd, self.page_size - got, offset + got)
-            if not chunk:
-                break  # EOF: trailing fresh page, zero-filled by caller
-            parts.append(chunk)
-            got += len(chunk)
-        return b"".join(parts)
+    def _count_retry(self, attempt, exc):
+        self.metrics.read_retries += 1
 
     # -- writes --------------------------------------------------------
 
     def write_page(self, page_id, data):
         """Physically write one page (stamping the checksum trailer in
-        checksum mode). Loops until every byte lands; zero progress
-        raises ``StorageError``."""
+        checksum mode) with one ``pwritev`` of the payload and the
+        trailer, straight from ``data``. Loops until every byte lands;
+        zero progress raises ``StorageError``."""
         self._check_open()
         self._check_page(page_id)
-        if len(data) != self.page_size:
+        size = self.page_size
+        if len(data) != size:
             raise StorageError(
-                f"page write of {len(data)} bytes, expected "
-                f"{self.page_size}")
+                f"page write of {len(data)} bytes, expected {size}")
         mode = None
         if _FAILPOINTS.active:
             try:
@@ -216,26 +218,39 @@ class PageFile:
         if span is not None:
             span.event("page-write", page=page_id,
                        sync=self.sync_writes)
+        view = memoryview(data)
         if self.checksums:
-            out = self._stamp(page_id, data)
+            payload = view[:size - _TRAILER.size]
+            gen = self.generation & 0xFFFFFFFF
+            parts = [payload, _TRAILER.pack(
+                zlib.crc32(payload, zlib.crc32(_SEED.pack(page_id, gen))),
+                gen)]
         else:
-            out = bytes(data)
-        if self._fd is None:
-            if mode == "torn":
-                half = self.page_size // 2
-                self._pages[page_id] = (out[:half]
-                                        + b"\x00" * (self.page_size - half))
-                raise CrashInjected(
-                    f"simulated torn write at page {page_id}")
-            self._pages[page_id] = out
-            return
-        offset = page_id * self.page_size
+            parts = [view]
         if mode == "torn":
-            os.pwrite(self._fd, out[:self.page_size // 2], offset)
-            self._writes_since_sync = True
+            # Injected fault: half the page lands, then the process
+            # "dies" (the rest of a memory page reads as zero).
+            torn = b"".join(parts)[:size // 2]
+            if self._fd is None:
+                self._pages[page_id] = torn + bytes(size - len(torn))
+            else:
+                os.pwrite(self._fd, torn, page_id * size)
+                self._writes_since_sync = True
             raise CrashInjected(f"simulated torn write at page {page_id}")
+        if self._fd is None:
+            self._pages[page_id] = b"".join(parts)
+            return
+        offset = page_id * size
         try:
-            self._pwrite_all(out, offset, simulate_short=(mode == "short"))
+            if mode == "short":
+                # Injected fault: the kernel accepts only half the
+                # request — the loop must transparently finish the rest.
+                written = os.pwritev(self._fd, [parts[0][:size // 2]],
+                                     offset)
+            else:
+                written = os.pwritev(self._fd, parts, offset)
+            if written != size:
+                self._pwritev_rest(parts, offset, written)
         except OSError as exc:
             raise StorageError(
                 f"page {page_id} write failed: {exc}") from exc
@@ -243,51 +258,40 @@ class PageFile:
         if self.sync_writes:
             self.fsync()
 
-    def _pwrite_all(self, data, offset, simulate_short=False):
-        view = memoryview(data)
-        total = 0
-        while total < len(data):
-            chunk = view[total:]
-            if simulate_short and total == 0 and len(chunk) > 1:
-                # Injected fault: the kernel accepts only half the
-                # request — the loop must transparently finish the rest.
-                chunk = chunk[:len(chunk) // 2]
-            written = os.pwrite(self._fd, chunk, offset + total)
+    def _pwritev_rest(self, parts, offset, written):
+        """Complete a short ``pwritev`` of ``parts`` (a list, consumed)
+        at ``offset`` that has landed ``written`` bytes so far."""
+        while True:
             if written <= 0:
                 raise StorageError(
-                    f"pwrite made no progress at offset {offset + total} "
-                    f"({written} of {len(chunk)} bytes)")
-            total += written
+                    f"pwritev made no progress at offset {offset} "
+                    f"({written} of {sum(map(len, parts))} bytes)")
+            offset += written
+            while parts and written >= len(parts[0]):
+                written -= len(parts.pop(0))
+            if not parts:
+                return
+            parts[0] = parts[0][written:]
+            written = os.pwritev(self._fd, parts, offset)
 
     # -- checksums -----------------------------------------------------
-
-    @staticmethod
-    def _crc(page_id, payload, generation):
-        seed = zlib.crc32(struct.pack("<QI", page_id,
-                                      generation & 0xFFFFFFFF))
-        return zlib.crc32(payload, seed)
-
-    def _stamp(self, page_id, data):
-        trailer_off = self.page_size - _TRAILER.size
-        payload = bytes(data[:trailer_off])
-        gen = self.generation & 0xFFFFFFFF
-        return payload + _TRAILER.pack(self._crc(page_id, payload, gen),
-                                       gen)
 
     def verify_page(self, page_id, buf):
         """True iff ``buf`` (a full page) carries a valid trailer."""
         trailer_off = self.page_size - _TRAILER.size
         stored_crc, stored_gen = _TRAILER.unpack_from(buf, trailer_off)
-        payload = bytes(buf[:trailer_off])
-        return self._crc(page_id, payload, stored_gen) == stored_crc
+        seed = zlib.crc32(_SEED.pack(page_id, stored_gen))
+        return zlib.crc32(memoryview(buf)[:trailer_off], seed) == stored_crc
 
     def check_page(self, page_id, buf):
         """Raise :class:`~repro.exceptions.CorruptPageError` unless
         ``buf`` carries a valid trailer; a failure is counted in
         ``checksum_failures``, the ``storage.corruption.pages`` metric
         and a ``corrupt-page`` trace event."""
-        if self.verify_page(page_id, buf):
-            return
+        if not self.verify_page(page_id, buf):
+            self._raise_corrupt(page_id, buf)
+
+    def _raise_corrupt(self, page_id, buf):
         trailer_off = self.page_size - _TRAILER.size
         _, stored_gen = _TRAILER.unpack_from(buf, trailer_off)
         zeroed = not any(buf)

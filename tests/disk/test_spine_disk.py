@@ -117,6 +117,28 @@ class TestPolicies:
         with pytest.raises(ConstructionError):
             DiskSpineIndex(alphabet=dna_alphabet(), policy="mru")
 
+    def test_pintop_protects_only_live_top_pages(self, tmp_path):
+        # Checkpoints shadow CL and top-LT pages to fresh ids and later
+        # reclaim the old ids; the protected set must follow the live
+        # pages, not accumulate every id they ever had.
+        text = generate_dna(6000, seed=3)
+        ix = DiskSpineIndex(path=str(tmp_path / "pin.spd"), page_size=256,
+                            buffer_pages=16, policy="pintop")
+        policy = ix.pool.policy
+
+        def check():
+            live = set(ix._cl.pages) | set(
+                ix._lt.pages[:ix._pintop_pages])
+            assert policy.protected_pages == live
+            assert set(policy._protected) <= live
+
+        for i in range(0, len(text), 500):
+            ix.extend(text[i:i + 500])
+            check()
+            ix.checkpoint()
+            check()
+        ix.close()
+
 
 class TestValidation:
     def test_code_out_of_range(self):

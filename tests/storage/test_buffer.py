@@ -123,6 +123,19 @@ class TestPolicies:
         policy.touch(4)
         assert policy.evict() == 3
 
+    def test_pintop_protect_rebuilds_in_place(self):
+        protected = {0, 1}
+        policy = PinTopPolicy(protected)
+        for pid in (0, 1, 5):
+            policy.touch(pid)
+        policy.protect([1, 2])
+        assert policy.protected_pages is protected
+        assert protected == {1, 2}
+        # Page 0 left the set: it rejoins the LRU order as least recent.
+        assert policy.evict() == 0
+        assert policy.evict() == 5
+        assert policy.evict() == 1
+
     def test_forget(self):
         policy = LRUPolicy()
         policy.touch(1)

@@ -1,5 +1,7 @@
 """PageFile tests (memory- and file-backed)."""
 
+import os
+
 import pytest
 
 from repro.exceptions import StorageError
@@ -178,8 +180,8 @@ class TestDurabilitySatellites:
         path = str(tmp_path / "stuck.bin")
         pf = PageFile(path=path, page_size=64)
         pid = pf.allocate_page()
-        monkeypatch.setattr(os_mod, "pwrite",
-                            lambda fd, data, offset: 0)
+        monkeypatch.setattr(os_mod, "pwritev",
+                            lambda fd, buffers, offset: 0)
         with pytest.raises(StorageError, match="no progress"):
             pf.write_page(pid, bytearray(64))
         monkeypatch.undo()
@@ -215,4 +217,99 @@ class TestDurabilitySatellites:
         pf.fsync()
         assert not pf._writes_since_sync
         pf.fsync()  # no-op; would be cheap even under a failpoint
+        pf.close()
+
+
+class TestPhysicalIO:
+    """The one-syscall page path: ``preadv`` into the frame,
+    ``pwritev`` of payload and trailer."""
+
+    @staticmethod
+    def _expected(payload, page_id, gen):
+        import struct as struct_mod
+        import zlib
+
+        from repro.storage.pager import _TRAILER
+
+        seed = zlib.crc32(struct_mod.pack("<QI", page_id, gen))
+        return payload + _TRAILER.pack(zlib.crc32(payload, seed), gen)
+
+    def test_interior_short_read_completed(self, tmp_path, monkeypatch):
+        import os as os_mod
+
+        path = str(tmp_path / "short-read.bin")
+        pf = PageFile(path=path, page_size=512, checksums=True)
+        pid = pf.allocate_page()
+        page = bytearray(range(256)) * 2
+        pf.write_page(pid, page)
+        real = os_mod.preadv
+        calls = []
+
+        def half_preadv(fd, buffers, offset):
+            (buf,) = buffers
+            calls.append(offset)
+            return real(fd, [memoryview(buf)[:256]], offset)
+
+        monkeypatch.setattr(os_mod, "preadv", half_preadv)
+        got = pf.read_page(pid)
+        monkeypatch.undo()
+        assert got[:pf.payload_size] == page[:pf.payload_size]
+        assert calls == [0, 256]
+        pf.close()
+
+    def test_truncated_page_zero_filled_and_corrupt(self, tmp_path):
+        from repro.exceptions import CorruptPageError
+
+        path = str(tmp_path / "trunc.bin")
+        pf = PageFile(path=path, page_size=256, checksums=True)
+        pf.allocate_page()
+        pid = pf.allocate_page()
+        pf.write_page(0, bytearray(b"\x11" * 256))
+        pf.write_page(pid, bytearray(b"\x22" * 256))
+        os.truncate(path, 256 + 100)
+        raw = pf.read_page(pid, verify=False)
+        assert raw == bytearray(b"\x22" * 100 + bytes(156))
+        with pytest.raises(CorruptPageError) as excinfo:
+            pf.read_page(pid)
+        assert excinfo.value.page_id == pid
+        assert pf.metrics.checksum_failures == 1
+        pf.close(sync=False)
+
+    @pytest.mark.parametrize("backed", ["file", "memory"])
+    def test_written_bytes_are_payload_and_trailer(self, tmp_path, backed):
+        path = str(tmp_path / "bytes.bin") if backed == "file" else None
+        pf = PageFile(path=path, page_size=128, checksums=True)
+        pf.generation = 5
+        pf.allocate_page()
+        pid = pf.allocate_page()
+        page = bytearray(os.urandom(128))
+        pf.write_page(pid, page)
+        expected = self._expected(bytes(page[:120]), pid, 5)
+        assert bytes(pf.read_page(pid, verify=False)) == expected
+        if path is not None:
+            pf.fsync()
+            with open(path, "rb") as handle:
+                handle.seek(pid * 128)
+                assert handle.read(128) == expected
+        pf.close()
+
+    def test_retry_exhausted_names_page(self, tmp_path):
+        from repro.exceptions import RetryExhaustedError
+        from repro.resilience import RetryPolicy
+        from repro.storage import clear_failpoints, fail_at
+
+        pf = PageFile(path=str(tmp_path / "retry.bin"), page_size=128,
+                      retry_policy=RetryPolicy(retries=2, base_backoff=0,
+                                               jitter=0))
+        for _ in range(4):
+            pf.allocate_page()
+        fail_at("pager.read", mode="oserror", nth=1, count=10)
+        try:
+            with pytest.raises(RetryExhaustedError) as excinfo:
+                pf.read_page(3)
+        finally:
+            clear_failpoints()
+        assert excinfo.value.site == "page 3 read"
+        assert excinfo.value.attempts == 3
+        assert pf.metrics.read_retries == 2
         pf.close()
